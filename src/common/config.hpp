@@ -105,11 +105,11 @@ struct SimConfig {
 
   // ---- sharded cycle kernel (DESIGN.md §10) ----
   /// Number of contiguous router shards the cycle kernel is partitioned
-  /// into. This is a SEMANTIC knob, not an execution knob: K > 1 selects the
-  /// staged-commit kernel, whose per-seed results are bit-identical across
-  /// any worker-thread count but differ from the K = 1 sequential kernel
-  /// (policy RNGs draw from per-shard lanes). It therefore participates in
-  /// experiment content keys. Clamped to the router count at construction.
+  /// into. This is a SEMANTIC knob, not an execution knob: per-seed results
+  /// are bit-identical across any worker-thread count but differ between
+  /// shard counts (policy RNGs draw from per-shard lanes). It therefore
+  /// participates in experiment content keys. Clamped to the router count
+  /// at construction.
   u32 sim_shards = 1;
 
   /// Align shard boundaries to group multiples (group-major partitioning):

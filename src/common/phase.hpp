@@ -19,10 +19,7 @@
 //
 //  OFAR_PARALLEL_PHASE  Function may execute concurrently on shard workers
 //                       (a parallel-phase root or a function audited as
-//                       safe to reach from one). Bodies may contain
-//                       `if constexpr (kStaged)` branches: the analyzer
-//                       knows the non-staged branch only runs in the K = 1
-//                       sequential kernel and exempts it.
+//                       safe to reach from one).
 //  OFAR_SERIAL_ONLY     Function or data member that only the serial
 //                       sections of a cycle may call/write (commit paths,
 //                       injection, stats/trace emission, the global RNG,
@@ -42,7 +39,7 @@
 // Placement: annotations go on the *declaration* (in-class for methods,
 // the member line for fields, after the class-key for classes):
 //
-//   OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh, u32 s);
+//   OFAR_PARALLEL_PHASE void deliver_events_shard(ShardState& sh);
 //   OFAR_SERIAL_ONLY Stats stats_;
 //   class OFAR_SERIAL_ONLY MetricsRegistry { ... };
 #pragma once

@@ -48,9 +48,9 @@ class OfarPolicy final : public RoutingPolicy {
 
  private:
   /// Per-shard route() state: the candidate RNG and its scratch list.
-  /// route() is called concurrently from different shards in the sharded
-  /// kernel, so each lane owns both; lane 0 keeps the legacy sequential
-  /// stream so K = 1 runs replay the sequential kernel's draws exactly.
+  /// route() is called concurrently from different shards, so each lane
+  /// owns both; lane 0 is seeded with the policy seed itself, the stream
+  /// a one-shard run draws from.
   struct Lane {
     explicit Lane(u64 seed) : rng(seed) {}
     OFAR_LANE_RNG Rng rng;

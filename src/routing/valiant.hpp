@@ -35,10 +35,10 @@ class ValiantPolicy : public RoutingPolicy {
   void assign_intermediate(Network& net, Packet& pkt, RouterId at);
 
   /// RNG stream for route()-time draws of shard `lane` (PAR's UGAL probe).
-  /// Lane 0 is rng_ itself — the legacy sequential stream — so K = 1
-  /// sharded runs replay the sequential kernel's draws exactly. The phases
-  /// that draw from lane 0 via route() (parallel allocation) and via
-  /// on_inject (serial injection) never overlap, so sharing is safe.
+  /// Lane 0 is rng_ itself, so a one-shard run draws all its randomness
+  /// from a single stream. The phases that draw from lane 0 via route()
+  /// (parallel allocation) and via on_inject (serial injection) never
+  /// overlap, so sharing is safe.
   OFAR_LANE_RNG Rng& route_rng(u32 lane) noexcept {
     return lane == 0 ? rng_ : lane_rngs_[lane - 1];
   }

@@ -3,12 +3,12 @@
 // (transitive reachability), with explicit and implicit receivers.
 
 struct Net {
-  OFAR_SERIAL_ONLY void deliver_events();
+  OFAR_SERIAL_ONLY void flush_outboxes();
   void helper();
 };
 
 void Net::helper() {
-  deliver_events();  // expect: serial-call
+  flush_outboxes();  // expect: serial-call
 }
 
 struct Engine {
@@ -17,10 +17,10 @@ struct Engine {
 };
 
 void Engine::advance(Net& net) {
-  net.deliver_events();  // expect: serial-call
+  net.flush_outboxes();  // expect: serial-call
   net.helper();
 }
 
 void Engine::commit(Net& net) {
-  net.deliver_events();  // fine: serial caller
+  net.flush_outboxes();  // fine: serial caller
 }

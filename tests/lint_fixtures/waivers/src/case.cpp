@@ -3,7 +3,7 @@
 // lines still fire.
 
 struct Net {
-  OFAR_SERIAL_ONLY void deliver_events();
+  OFAR_SERIAL_ONLY void flush_outboxes();
 };
 
 struct Engine {
@@ -12,7 +12,7 @@ struct Engine {
 };
 
 void Engine::advance(Net& net) {
-  net.deliver_events();  // lint: allow(serial-call)
+  net.flush_outboxes();  // lint: allow(serial-call)
   total_ = 1;            // lint: allow(serial-call) -- wrong rule: expect: serial-write
-  net.deliver_events();  // expect: serial-call
+  net.flush_outboxes();  // expect: serial-call
 }

@@ -483,28 +483,54 @@ struct Digest {
 };
 
 TEST(Telemetry, EnablingTelemetryPreservesDeterminism) {
-  const SimConfig cfg = small_config(12345);
-  auto run = [&cfg](bool telemetry) {
-    Network net(cfg);
-    if (telemetry) {
-      TelemetryConfig tc;  // in-memory only; timing every cycle to stress
-      tc.interval = 100;   // the instrumented step path
-      tc.phase_sample_period = 1;
-      tc.full_dump = true;
-      net.enable_telemetry(tc);
-    }
-    net.set_traffic(std::make_unique<BernoulliSource>(
-        TrafficPattern::adversarial(1), 0.6, cfg.seed));
-    net.run(3'000);
-    return Digest::of(net);
+  // One shard, and four shards driven by one and by four worker threads:
+  // the profiler splits the fused transfers+allocation phase only when
+  // telemetry is on, and that split must not change any outcome.
+  struct Shape {
+    u32 shards;
+    unsigned threads;
   };
+  static constexpr Cycle kCycles = 3'000;
+  for (const Shape shape : {Shape{1, 1}, Shape{4, 1}, Shape{4, 4}}) {
+    SCOPED_TRACE(::testing::Message() << "sim_shards=" << shape.shards
+                                      << " sim_threads=" << shape.threads);
+    SimConfig cfg = small_config(12345);
+    cfg.sim_shards = shape.shards;
+    auto run = [&cfg, &shape](bool telemetry) {
+      Network net(cfg);
+      net.set_sim_threads(shape.threads);
+      if (telemetry) {
+        TelemetryConfig tc;  // in-memory only; timing every cycle to stress
+        tc.interval = 100;   // the profiled phase boundaries
+        tc.phase_sample_period = 1;
+        tc.full_dump = true;
+        net.enable_telemetry(tc);
+      }
+      net.set_traffic(std::make_unique<BernoulliSource>(
+          TrafficPattern::adversarial(1), 0.6, cfg.seed));
+      net.run(kCycles);
+      if (telemetry) {
+        // Every phase but the periodic watchdog runs once per cycle, and
+        // the split keeps a separate time for transfers and allocation.
+        const PhaseProfiler& prof = net.telemetry()->profiler();
+        for (u32 p = 0; p < kNumSimPhases; ++p) {
+          const SimPhase phase = static_cast<SimPhase>(p);
+          if (phase == SimPhase::kWatchdog) continue;
+          EXPECT_EQ(prof.invocations(phase), kCycles) << to_string(phase);
+        }
+        EXPECT_GT(prof.seconds(SimPhase::kTransfers), 0.0);
+        EXPECT_GT(prof.seconds(SimPhase::kAllocation), 0.0);
+      }
+      return Digest::of(net);
+    };
 
-  const Digest off = run(false);
-  const Digest on = run(true);
-  EXPECT_TRUE(off == on)
-      << "telemetry perturbed the simulation (delivered " << off.delivered
-      << " vs " << on.delivered << ")";
-  EXPECT_GT(off.delivered, 0u);
+    const Digest off = run(false);
+    const Digest on = run(true);
+    EXPECT_TRUE(off == on)
+        << "telemetry perturbed the simulation (delivered " << off.delivered
+        << " vs " << on.delivered << ")";
+    EXPECT_GT(off.delivered, 0u);
+  }
 }
 
 TEST(Telemetry, StallCountersAccumulateUnderLoad) {

@@ -7,10 +7,7 @@ recovers exactly the structure rules.py needs — it is NOT a C++ parser:
   * typedef / using aliases (for unordered-container and clock resolution
     through names, where the regex lint is provably blind);
   * function definitions with tokenized bodies, parameter names/types and
-    best-effort local variable types;
-  * `if constexpr (kStaged)` / `(!kStaged)` branch classification: the
-    branch that only instantiates into the K = 1 sequential kernel is
-    marked serial-excluded so the parallel-phase rules skip it.
+    best-effort local variable types.
 
 Anything it cannot classify it skips — unknown constructs degrade into
 missed edges (possible false negatives), never into crashes. The libclang
@@ -357,7 +354,6 @@ class _FileParser:
         self._parse_params(group, fn)
         body = [Token(text=t, line=ln) for t, ln in toks[open_brace + 1:
                                                         close]]
-        _mark_kstaged(body)
         fn.body = body
         _collect_local_types(fn)
         self.program.functions.setdefault(qual, []).append(fn)
@@ -447,40 +443,6 @@ class _FileParser:
         self.program.aliases[alias] = target
 
 
-def _mark_kstaged(body):
-    """Marks `if constexpr` branches that only instantiate into the K = 1
-    sequential kernel as serial-excluded."""
-    texts = [t.text for t in body]
-    i = 0
-    n = len(body)
-    while i < n - 3:
-        if texts[i] == "if" and texts[i + 1] == "constexpr" and \
-                texts[i + 2] == "(":
-            close = _match(texts, i + 2, "(", ")")
-            cond = texts[i + 3:close]
-            then_excluded = None
-            if cond == ["kStaged"]:
-                then_excluded = False
-            elif cond == ["!", "kStaged"]:
-                then_excluded = True
-            if then_excluded is not None:
-                then_start = close + 1
-                then_end = _stmt_end(texts, then_start)
-                if then_excluded:
-                    for k in range(then_start, then_end + 1):
-                        body[k].serial_excluded = True
-                j = then_end + 1
-                if j < n and texts[j] == "else":
-                    else_start = j + 1
-                    else_end = _stmt_end(texts, else_start)
-                    if not then_excluded:
-                        for k in range(else_start, else_end + 1):
-                            body[k].serial_excluded = True
-            i = close + 1
-            continue
-        i += 1
-
-
 def _match(texts, open_index, op, cl):
     depth = 0
     for i in range(open_index, len(texts)):
@@ -490,25 +452,6 @@ def _match(texts, open_index, op, cl):
             depth -= 1
             if depth == 0:
                 return i
-    return len(texts) - 1
-
-
-def _stmt_end(texts, start):
-    """Index of the last token of the statement starting at `start` (a
-    braced block or a single statement up to ';')."""
-    if start >= len(texts):
-        return len(texts) - 1
-    if texts[start] == "{":
-        return _match(texts, start, "{", "}")
-    depth = 0
-    for i in range(start, len(texts)):
-        t = texts[i]
-        if t in ("(", "{", "["):
-            depth += 1
-        elif t in (")", "}", "]"):
-            depth -= 1
-        elif t == ";" and depth == 0:
-            return i
     return len(texts) - 1
 
 

@@ -8,8 +8,6 @@ out (engine=clang).
 The model produced is the same shape as frontend_builtin's: classes with
 member/method annotations read from the expanded `[[clang::annotate]]`
 attributes, function definitions with token streams, and alias tables.
-Because clang expands `if constexpr` per instantiation, the kStaged
-serial-exclusion marking reuses the builtin lexer's source-level pass.
 """
 
 import os
@@ -142,19 +140,11 @@ def _harvest(cursor, root, wanted, program):
                 fn.params.append(arg.spelling)
                 fn.param_types[arg.spelling] = arg.type.spelling
             fn.body = _tokens_of(node, root)
-            _mark_kstaged_source(fn)
             program.functions.setdefault(qual, []).append(fn)
         elif kind in (_cindex.CursorKind.TYPEDEF_DECL,
                       _cindex.CursorKind.TYPE_ALIAS_DECL):
             program.aliases.setdefault(
                 node.spelling, node.underlying_typedef_type.spelling)
-
-
-def _mark_kstaged_source(fn):
-    """Marks `if constexpr (!kStaged)` regions, reusing the builtin
-    frontend's token-level pass on the clang-extracted body."""
-    from .frontend_builtin import _mark_kstaged
-    _mark_kstaged(fn.body)
 
 
 # Re-exported so `python3 -c "from ofar_lint import frontend_clang"` is a

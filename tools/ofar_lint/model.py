@@ -5,8 +5,7 @@ A frontend reduces the C++ sources to:
   * classes: name -> ClassInfo (bases, member annotations, class-level
     annotation);
   * functions: qualified name -> [FunctionDef] (annotations + the token
-    stream of the body, with serial-excluded `if constexpr (!kStaged)`
-    regions marked);
+    stream of the body);
   * aliases: typedef/using chains, for unordered-container and clock
     resolution through names.
 
@@ -43,10 +42,6 @@ ANNOTATE_TO_ANNOTATION = {
 class Token:
     text: str
     line: int
-    # True inside a region that only instantiates into the sequential
-    # kernel (`if constexpr (!kStaged)` branches): the parallel-phase
-    # rules skip these tokens.
-    serial_excluded: bool = False
 
 
 @dataclass

@@ -3,9 +3,8 @@
 Reachability: every function whose effective annotation is
 OFAR_PARALLEL_PHASE is a root; the walk follows calls (receiver-typed
 where possible, virtual dispatch over the class hierarchy) into
-unannotated functions, skipping tokens of serial-excluded
-`if constexpr (!kStaged)` regions. On that parallel-reachable region the
-analyzer enforces:
+unannotated functions. On that parallel-reachable region the analyzer
+enforces:
 
   serial-call        call into an OFAR_SERIAL_ONLY function (or a method
                      of a serial-only class, e.g. Stats::on_delivered)
@@ -121,14 +120,11 @@ class Analyzer:
                            visited)
 
     def _calls(self, fn):
-        """Resolved callees of fn's non-excluded body regions:
-        [(candidate FunctionDefs, line)]."""
+        """Resolved callees of fn's body: [(candidate FunctionDefs, line)]."""
         out = []
         body = fn.body
         texts = [t.text for t in body]
         for i, tok in enumerate(body):
-            if tok.serial_excluded:
-                continue
             if tok.text != "(" or i == 0:
                 continue
             name_tok = body[i - 1]
@@ -259,15 +255,13 @@ class Analyzer:
         texts = [t.text for t in body]
         n = len(body)
         for i, tok in enumerate(body):
-            if tok.serial_excluded:
-                continue
             t = tok.text
             if not (t and (t[0].isalpha() or t[0] == "_")):
                 continue
             prev = texts[i - 1] if i > 0 else ""
             nxt = texts[i + 1] if i + 1 < n else ""
             # ---- serial-only / unresolved-annotation calls ----
-            # Runs for explicit-receiver calls too (`net.deliver_events()`,
+            # Runs for explicit-receiver calls too (`net.run_watchdog()`,
             # `stats_.on_delivered(...)`): _check_call resolves the
             # receiver's class itself.
             if nxt == "(" and t not in _CALL_KEYWORDS:
