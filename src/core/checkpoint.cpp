@@ -209,15 +209,23 @@ void CheckpointIO::write_state(CkptWriter& w, const Network& net) {
   w.put_bool(net.active_nodes_sorted_);
 
   // ---- event wheels, slot-verbatim (slot index = cycle % wheel size,
-  // preserved because now_ is saved) ----
+  // preserved because now_ is saved); a slot holds every shard's events
+  // for it, in shard order ----
   w.put_u32(net.wheel_size_);
-  for (const auto& slot : net.phit_wheel_) {
-    w.put_u64(slot.size());
-    w.put_pod_span(slot.data(), slot.size());
+  for (u32 slot = 0; slot < net.wheel_size_; ++slot) {
+    u64 n = 0;
+    for (const auto& sh : net.shards_) n += sh.phit_wheel[slot].size();
+    w.put_u64(n);
+    for (const auto& sh : net.shards_)
+      w.put_pod_span(sh.phit_wheel[slot].data(), sh.phit_wheel[slot].size());
   }
-  for (const auto& slot : net.credit_wheel_) {
-    w.put_u64(slot.size());
-    w.put_pod_span(slot.data(), slot.size());
+  for (u32 slot = 0; slot < net.wheel_size_; ++slot) {
+    u64 n = 0;
+    for (const auto& sh : net.shards_) n += sh.credit_wheel[slot].size();
+    w.put_u64(n);
+    for (const auto& sh : net.shards_)
+      w.put_pod_span(sh.credit_wheel[slot].data(),
+                     sh.credit_wheel[slot].size());
   }
 
   // ---- lifetime link loads (sparse at scale) ----
@@ -377,7 +385,14 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     set_error(error, "wheel size mismatch");
     return false;
   }
-  for (auto& slot : net.phit_wheel_) {
+  // Every restored event goes to shard 0's wheels: delivery scans all
+  // shards' wheels, and the saved order keeps each shard's deliveries in
+  // generation order.
+  for (Network::ShardState& sh : net.shards_) {
+    for (auto& slot : sh.phit_wheel) slot.clear();
+    for (auto& slot : sh.credit_wheel) slot.clear();
+  }
+  for (auto& slot : net.shards_[0].phit_wheel) {
     const u64 n = r.get_u64();
     if (!r.ok() || n > (u64{1} << 40)) {
       set_error(error, "corrupt phit wheel");
@@ -386,7 +401,7 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     slot.assign(static_cast<std::size_t>(n), {});
     r.get_pod_span(slot.data(), slot.size());
   }
-  for (auto& slot : net.credit_wheel_) {
+  for (auto& slot : net.shards_[0].credit_wheel) {
     const u64 n = r.get_u64();
     if (!r.ok() || n > (u64{1} << 40)) {
       set_error(error, "corrupt credit wheel");

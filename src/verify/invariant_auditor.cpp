@@ -134,10 +134,12 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
     wire_phits[c].assign(vcs, 0);
     wire_credits[c].assign(vcs, 0);
   }
-  for (const auto& slot : net_.phit_wheel_)
-    for (const Network::PhitEvent& e : slot) ++wire_phits[e.ch][e.vc];
-  for (const auto& slot : net_.credit_wheel_)
-    for (const Network::CreditEvent& e : slot) ++wire_credits[e.ch][e.vc];
+  for (const Network::ShardState& sh : net_.shards_) {
+    for (const auto& slot : sh.phit_wheel)
+      for (const Network::PhitEvent& e : slot) ++wire_phits[e.ch][e.vc];
+    for (const auto& slot : sh.credit_wheel)
+      for (const Network::CreditEvent& e : slot) ++wire_credits[e.ch][e.vc];
+  }
 
   for (ChannelId c = 0; c < num_ch; ++c) {
     if (!net_.channel_wired(c)) continue;
@@ -408,12 +410,14 @@ void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
       capacity += in.capacity(static_cast<VcId>(v));
     }
   }
-  for (const auto& slot : net_.phit_wheel_) {
-    for (const Network::PhitEvent& e : slot) {
-      const Channel ch = net_.channel(e.ch);
-      if (!ch.is_ejection() &&
-          net_.is_ring_input(ch.dst_router, ch.dst_port, e.vc))
-        ++occupied;
+  for (const Network::ShardState& sh : net_.shards_) {
+    for (const auto& slot : sh.phit_wheel) {
+      for (const Network::PhitEvent& e : slot) {
+        const Channel ch = net_.channel(e.ch);
+        if (!ch.is_ejection() &&
+            net_.is_ring_input(ch.dst_router, ch.dst_port, e.vc))
+          ++occupied;
+      }
     }
   }
   for (const Router& r : net_.routers_) {
