@@ -14,8 +14,9 @@
 //     identical per-point results (each point owns its RNGs; threads only
 //     change scheduling).
 //
-// Per-mechanism goldens (section 6) pin every routing mechanism on both
-// escape-ring implementations, and the four-shard kernel at 1/2/4 threads.
+// Per-mechanism goldens pin every routing mechanism on both escape-ring
+// implementations, and the four-shard kernel at 1/2/4 threads: saturated
+// (section 6) and burst-then-drain (section 7).
 //
 // Plus structural invariants after a drain: flow conservation, quiescence,
 // and worklist consistency (Network::check_worklists).
@@ -340,16 +341,21 @@ void PrintTo(const MechanismGolden& g, std::ostream* os) {
   *os << to_string(g.routing) << "/" << to_string(g.ring);
 }
 
-Digest run_mechanism(RoutingKind routing, RingKind ring, u32 shards = 1,
-                     unsigned sim_threads = 1) {
-  const bool physical = ring == RingKind::kPhysical;
+SimConfig mechanism_config(RoutingKind routing, RingKind ring, u32 shards) {
   SimConfig cfg;
-  cfg.h = physical ? 2 : 3;
+  cfg.h = ring == RingKind::kPhysical ? 2 : 3;
   cfg.seed = 12345;
   cfg.routing = routing;
   cfg.ring = ring;
   cfg.sim_shards = shards;
   if (routing == RoutingKind::kPar) cfg.vcs_local = 4;
+  return cfg;
+}
+
+Digest run_mechanism(RoutingKind routing, RingKind ring, u32 shards = 1,
+                     unsigned sim_threads = 1) {
+  const bool physical = ring == RingKind::kPhysical;
+  const SimConfig cfg = mechanism_config(routing, ring, shards);
   Network net(cfg);
   net.set_sim_threads(sim_threads);
   net.set_traffic(std::make_unique<BernoulliSource>(
@@ -357,6 +363,15 @@ Digest run_mechanism(RoutingKind routing, RingKind ring, u32 shards = 1,
       physical ? 0.7 : 1.0, cfg.seed));
   net.run(physical ? 2000 : 1000);
   return digest(net);
+}
+
+// Readable ctest names: "OFAR_L_physical" for OFAR-L on the physical ring.
+std::string mechanism_test_name(
+    const ::testing::TestParamInfo<MechanismGolden>& info) {
+  std::string n = to_string(info.param.routing);
+  for (auto& c : n)
+    if (c == '-') c = '_';
+  return n + "_" + to_string(info.param.ring);
 }
 
 class MechanismGoldenTest : public ::testing::TestWithParam<MechanismGolden> {
@@ -436,12 +451,7 @@ INSTANTIATE_TEST_SUITE_P(
                         {42806, 42205, 23193, 185544, 0x1.6c313p+22,
                          0x1.c1b92cdp+30, 0, 8165, 1511, 1266,
                          0x1.4c8c178859a08p+1, 8, false}}),
-    [](const ::testing::TestParamInfo<MechanismGolden>& info) {
-      std::string n = to_string(info.param.routing);
-      for (auto& c : n)
-        if (c == '-') c = '_';
-      return n + "_" + to_string(info.param.ring);
-    });
+    mechanism_test_name);
 
 TEST(MechanismGolden, OfarFourShardsPinnedAtEveryThreadCount) {
   const Digest expect{12657, 11982, 7286, 58288, 0x1.de3cfp+21,
@@ -450,6 +460,113 @@ TEST(MechanismGolden, OfarFourShardsPinnedAtEveryThreadCount) {
   for (const unsigned threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(threads);
     expect_digest_eq(run_mechanism(kOfar, kPhys, 4, threads), expect);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 7. Per-mechanism burst-and-drain goldens. The saturated points above
+//    never empty a router, so they leave the worklist prune, the idle-cycle
+//    phase skips and the drained wheels unpinned. Here each mechanism takes
+//    a short burst (physical ring: ADV+1 at 0.5 for 400 cycles on h=2;
+//    embedded ring: uniform at 1.0 for 300 cycles on h=3) and then drains
+//    completely within the 3000-cycle horizon. Same regeneration rule as
+//    section 1.
+// ---------------------------------------------------------------------------
+
+Digest run_mechanism_drain(RoutingKind routing, RingKind ring,
+                           u32 shards = 1, unsigned sim_threads = 1) {
+  const bool physical = ring == RingKind::kPhysical;
+  const SimConfig cfg = mechanism_config(routing, ring, shards);
+  Network net(cfg);
+  net.set_sim_threads(sim_threads);
+  std::vector<PhasedSource::Phase> phases(1);
+  phases[0].pattern =
+      physical ? TrafficPattern::adversarial(1) : TrafficPattern::uniform();
+  phases[0].load_phits = physical ? 0.5 : 1.0;
+  phases[0].until = physical ? 400 : 300;
+  net.set_traffic(std::make_unique<PhasedSource>(std::move(phases), cfg.seed));
+  net.run(3000);
+  EXPECT_TRUE(net.check_quiescent());
+  EXPECT_TRUE(net.check_worklists());
+  return digest(net);
+}
+
+class MechanismDrainGoldenTest
+    : public ::testing::TestWithParam<MechanismGolden> {};
+
+TEST_P(MechanismDrainGoldenTest, BurstDrainDigest) {
+  const MechanismGolden& g = GetParam();
+  expect_digest_eq(run_mechanism_drain(g.routing, g.ring), g.expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMechanisms, MechanismDrainGoldenTest,
+    ::testing::Values(
+        MechanismGolden{kMin, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.51082p+20,
+                         0x1.40adbc1p+30, 0, 0, 0, 0, 0x1.3f53896e7bf54p+1,
+                         3, true}},
+        MechanismGolden{kVal, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.0c662p+19,
+                         0x1.4adde22p+27, 0, 0, 0, 0, 0x1.f967ad2c1bcc6p+1,
+                         5, true}},
+        MechanismGolden{kPb, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.c55p+18,
+                         0x1.dc56648p+26, 0, 0, 0, 0, 0x1.d17af710980a3p+1,
+                         5, true}},
+        MechanismGolden{kUgal, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.f0104p+18,
+                         0x1.2ff2daep+27, 0, 0, 0, 0, 0x1.bb915fbbec24ep+1,
+                         5, true}},
+        MechanismGolden{kPar, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.dd214p+18,
+                         0x1.0da349ep+27, 0, 0, 0, 0, 0x1.fe4c4db8cd5e1p+1,
+                         6, true}},
+        MechanismGolden{kOfar, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.b5a9p+18,
+                         0x1.bfdacf8p+26, 1178, 1217, 58, 58,
+                         0x1.f514480c7b1b6p+1, 8, true}},
+        MechanismGolden{kOfarL, kPhys,
+                        {1805, 1805, 1805, 14440, 0x1.fafe8p+18,
+                         0x1.39f3f8cp+27, 0, 1051, 118, 118,
+                         0x1.7a0b1006cec92p+1, 6, true}},
+        MechanismGolden{kMin, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.631088p+21,
+                         0x1.613cfb28p+29, 0, 0, 0, 0, 0x1.492bcac533d9p+1,
+                         3, true}},
+        MechanismGolden{kVal, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.656a04p+22,
+                         0x1.608d332ap+31, 0, 0, 0, 0, 0x1.1a30ba62024a5p+2,
+                         5, true}},
+        MechanismGolden{kPb, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.a33ba8p+21,
+                         0x1.f82f63d8p+29, 0, 0, 0, 0, 0x1.9497ca9cc4557p+1,
+                         5, true}},
+        MechanismGolden{kUgal, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.972dbp+21,
+                         0x1.d769fa7p+29, 0, 0, 0, 0, 0x1.831c136d9432bp+1,
+                         5, true}},
+        MechanismGolden{kPar, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.346e08p+22,
+                         0x1.1198accp+31, 0, 0, 0, 0, 0x1.1c20106d4d6f9p+2,
+                         6, true}},
+        MechanismGolden{kOfar, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.48c9dp+21,
+                         0x1.2c69f3ap+29, 4373, 1343, 1, 1,
+                         0x1.89bbd809cb01ep+1, 8, true}},
+        MechanismGolden{kOfarL, kEmb,
+                        {12966, 12966, 12966, 103728, 0x1.39115p+21,
+                         0x1.11d613ep+29, 0, 1643, 57, 57,
+                         0x1.5952550e922f2p+1, 9, true}}),
+    mechanism_test_name);
+
+TEST(MechanismDrainGolden, OfarFourShardsPinnedAtEveryThreadCount) {
+  const Digest expect{1805, 1805, 1805, 14440, 0x1.b1dap+18,
+                      0x1.b771a2p+26, 1209, 1222, 56, 56,
+                      0x1.f7ea712dcf7eap+1, 8, true};
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    expect_digest_eq(run_mechanism_drain(kOfar, kPhys, 4, threads), expect);
   }
 }
 
