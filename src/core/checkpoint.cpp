@@ -19,6 +19,47 @@ void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = what;
 }
 
+// Wheel events as checkpoints store them: addressed by dense channel id, in
+// the byte layout the kernel's events had before they carried their
+// destinations. Saving converts each event to this form and loading
+// converts back, so the file format is unchanged.
+struct CkptPhit {
+  ChannelId ch;
+  PacketId pkt;
+  VcId vc;
+  u8 head;
+  u8 tail;
+  u8 pad;
+};
+static_assert(sizeof(CkptPhit) == 12);
+struct CkptCredit {
+  ChannelId ch;
+  VcId vc;
+  u8 pad[3];
+};
+static_assert(sizeof(CkptCredit) == 8);
+
+// Worklists are stored as id lists followed by a "sorted" flag; a bitset
+// always lists its members in ascending order.
+void write_worklist(CkptWriter& w, const Worklist& list) {
+  w.put_u64(list.size());
+  list.for_each([&w](u32 id) { w.put_u32(id); });
+  w.put_bool(true);
+}
+
+bool read_worklist(CkptReader& r, Worklist& list) {
+  const u64 n = r.get_u64();
+  if (!r.ok() || n > list.end() - list.begin()) return false;
+  list.reset(list.begin(), list.end());
+  for (u64 i = 0; i < n; ++i) {
+    const u32 id = r.get_u32();
+    if (!r.ok() || !list.in_range(id)) return false;
+    list.insert(id);
+  }
+  r.get_bool();  // "sorted": iteration order is the id order regardless
+  return r.ok();
+}
+
 }  // namespace
 
 void CheckpointIO::write_fifo(CkptWriter& w, const VcFifo& f) {
@@ -196,36 +237,42 @@ void CheckpointIO::write_state(CkptWriter& w, const Network& net) {
     w.put_pod_span(r.input_mask.data(), r.input_mask.size());
   }
 
-  // ---- activity worklists, verbatim (stale idle entries included: they
-  // drain through the next prune pass exactly as in the original run) ----
+  // ---- activity worklists (stale idle entries included: they drain
+  // through the next prune pass exactly as in the original run) ----
   w.put_u32(static_cast<u32>(net.shards_.size()));
-  for (const auto& sh : net.shards_) {
-    w.put_u64(sh.active_routers.size());
-    w.put_pod_span(sh.active_routers.data(), sh.active_routers.size());
-    w.put_bool(sh.sorted);
-  }
-  w.put_u64(net.active_nodes_.size());
-  w.put_pod_span(net.active_nodes_.data(), net.active_nodes_.size());
-  w.put_bool(net.active_nodes_sorted_);
+  for (const auto& sh : net.shards_) write_worklist(w, sh.active);
+  write_worklist(w, net.pending_nodes_);
 
-  // ---- event wheels, slot-verbatim (slot index = cycle % wheel size,
+  // ---- event wheels, slot by slot (slot index = cycle % wheel size,
   // preserved because now_ is saved); a slot holds every shard's events
-  // for it, in shard order ----
+  // for it, in shard order, each stored by channel (CkptPhit/CkptCredit) ----
   w.put_u32(net.wheel_size_);
   for (u32 slot = 0; slot < net.wheel_size_; ++slot) {
     u64 n = 0;
     for (const auto& sh : net.shards_) n += sh.phit_wheel[slot].size();
     w.put_u64(n);
-    for (const auto& sh : net.shards_)
-      w.put_pod_span(sh.phit_wheel[slot].data(), sh.phit_wheel[slot].size());
+    for (const auto& sh : net.shards_) {
+      for (const Network::PhitEvent& e : sh.phit_wheel[slot]) {
+        const CkptPhit c{net.phit_channel(e),
+                         e.pkt,
+                         e.vc,
+                         static_cast<u8>((e.flags & Network::kPhitHead) != 0),
+                         static_cast<u8>((e.flags & Network::kPhitTail) != 0),
+                         0};
+        w.put_pod_span(&c, 1);
+      }
+    }
   }
   for (u32 slot = 0; slot < net.wheel_size_; ++slot) {
     u64 n = 0;
     for (const auto& sh : net.shards_) n += sh.credit_wheel[slot].size();
     w.put_u64(n);
-    for (const auto& sh : net.shards_)
-      w.put_pod_span(sh.credit_wheel[slot].data(),
-                     sh.credit_wheel[slot].size());
+    for (const auto& sh : net.shards_) {
+      for (const Network::CreditEvent& e : sh.credit_wheel[slot]) {
+        const CkptCredit c{net.credit_channel(e), e.vc, {0, 0, 0}};
+        w.put_pod_span(&c, 1);
+      }
+    }
   }
 
   // ---- lifetime link loads (sparse at scale) ----
@@ -346,37 +393,17 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     set_error(error, "shard count mismatch");
     return false;
   }
+  // A router id outside its shard's range is corrupt: the shard could not
+  // own it.
   for (auto& sh : net.shards_) {
-    const u64 n = r.get_u64();
-    if (!r.ok() || n > net.routers_.size()) {
+    if (!read_worklist(r, sh.active)) {
       set_error(error, "corrupt shard worklist");
       return false;
     }
-    sh.active_routers.assign(static_cast<std::size_t>(n), 0);
-    r.get_pod_span(sh.active_routers.data(), sh.active_routers.size());
-    sh.sorted = r.get_bool();
-    for (const RouterId rid : sh.active_routers) {
-      if (rid >= net.router_in_worklist_.size()) {
-        set_error(error, "corrupt shard worklist entry");
-        return false;
-      }
-      net.router_in_worklist_[rid] = 1;
-    }
   }
-  const u64 nodes = r.get_u64();
-  if (!r.ok() || nodes > net.node_in_worklist_.size()) {
+  if (!read_worklist(r, net.pending_nodes_)) {
     set_error(error, "corrupt node worklist");
     return false;
-  }
-  net.active_nodes_.assign(static_cast<std::size_t>(nodes), 0);
-  r.get_pod_span(net.active_nodes_.data(), net.active_nodes_.size());
-  net.active_nodes_sorted_ = r.get_bool();
-  for (const NodeId n : net.active_nodes_) {
-    if (n >= net.node_in_worklist_.size()) {
-      set_error(error, "corrupt node worklist entry");
-      return false;
-    }
-    net.node_in_worklist_[n] = 1;
   }
 
   // ---- event wheels ----
@@ -392,14 +419,30 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
     for (auto& slot : sh.phit_wheel) slot.clear();
     for (auto& slot : sh.credit_wheel) slot.clear();
   }
+  // Channel ids are resolved back to destinations; an id that names no
+  // wired channel is corrupt.
+  const u32 ports = net.ports_per_router_;
   for (auto& slot : net.shards_[0].phit_wheel) {
     const u64 n = r.get_u64();
     if (!r.ok() || n > (u64{1} << 40)) {
       set_error(error, "corrupt phit wheel");
       return false;
     }
-    slot.assign(static_cast<std::size_t>(n), {});
-    r.get_pod_span(slot.data(), slot.size());
+    for (u64 i = 0; i < n; ++i) {
+      CkptPhit c{};
+      r.get_pod_span(&c, 1);
+      if (!r.ok() || !net.channel_wired(c.ch)) {
+        set_error(error, "corrupt phit wheel");
+        return false;
+      }
+      const Channel ch = net.channel(c.ch);
+      const bool eject = ch.is_ejection();
+      slot.push_back({eject ? ch.src_router : ch.dst_router, c.pkt,
+                      eject ? ch.src_port : ch.dst_port, c.vc,
+                      static_cast<u8>((c.head ? Network::kPhitHead : 0) |
+                                      (c.tail ? Network::kPhitTail : 0) |
+                                      (eject ? Network::kPhitEject : 0))});
+    }
   }
   for (auto& slot : net.shards_[0].credit_wheel) {
     const u64 n = r.get_u64();
@@ -407,8 +450,16 @@ bool CheckpointIO::read_state(CkptReader& r, Network& net,
       set_error(error, "corrupt credit wheel");
       return false;
     }
-    slot.assign(static_cast<std::size_t>(n), {});
-    r.get_pod_span(slot.data(), slot.size());
+    for (u64 i = 0; i < n; ++i) {
+      CkptCredit c{};
+      r.get_pod_span(&c, 1);
+      if (!r.ok() || !net.channel_wired(c.ch)) {
+        set_error(error, "corrupt credit wheel");
+        return false;
+      }
+      slot.push_back({static_cast<RouterId>(c.ch / ports),
+                      static_cast<PortId>(c.ch % ports), c.vc});
+    }
   }
 
   // ---- link loads ----

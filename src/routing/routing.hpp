@@ -137,13 +137,19 @@ class RoutingPolicy {
   OFAR_PARALLEL_PHASE virtual RouteChoice route(RouteContext& ctx) = 0;
 
   /// True when a route() call that fails (returns RouteChoice::none()) is
-  /// guaranteed to draw no RNG and leave the packet untouched. The
-  /// saturated kernel relies on this to skip a router's whole request scan
-  /// once it knows no output could be granted — sound only if the skipped
-  /// calls would have been observation-free. Override to return false for
-  /// policies that commit side effects before checking output availability
-  /// (PAR re-draws its UGAL comparison and rewrites the packet's Valiant
-  /// state even when the chosen port then turns out blocked).
+  /// guaranteed to draw no RNG and to change nothing but idempotent
+  /// normalisation of the packet: writes that the next route() call for
+  /// the same packet at the same router would redo identically, so skipping
+  /// the failing call leaves every later outcome unchanged. OFAR qualifies:
+  /// it re-arms flag_group/local_misrouted on entering a new group before
+  /// it can fail. VAL, PB and UGAL qualify: valiant_next_port sets
+  /// valiant_done once the intermediate is reached, and would set it again.
+  /// The saturated kernel relies on this to skip a router's whole request
+  /// scan once it knows no output could be granted. Override to return
+  /// false for policies that commit other side effects before checking
+  /// output availability (PAR re-draws its UGAL comparison and rewrites the
+  /// packet's Valiant intermediate even when the chosen port then turns out
+  /// blocked).
   virtual bool blocked_route_is_pure() const noexcept { return true; }
 
   /// Announces the number of route() lanes the kernel will use (the shard

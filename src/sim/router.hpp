@@ -38,9 +38,16 @@ struct OutputPort {
   VcId active_vc = 0;
   PortId src_port = 0;
   VcId src_vc = 0;
+  u8 phit_flags = 0;  ///< Network's ejection flag on ejection ports (below)
   u32 phits_left = 0;
   u16 active_size = 0;  ///< cached Packet::size of `active` (set at grant),
                         ///< so the transfer loop never touches the pool
+  // Destination of this port's phits, cached at wiring time so the wheel
+  // events carry it and delivery never resolves `channel`: the downstream
+  // router's input port, or for an ejection port this router and port
+  // themselves, flagged by phit_flags. Fields ordered to keep 64 bytes.
+  PortId dst_port = kInvalidPort;
+  RouterId dst_router = 0;
 
   bool wired() const noexcept { return channel != kInvalidChannel; }
   bool busy() const noexcept { return active != kInvalidPacket; }
@@ -84,8 +91,12 @@ struct OutputPort {
 };
 
 struct InputPort {
-  ChannelId in_channel = kInvalidChannel;  ///< invalid for injection ports
-  u32 in_latency = 1;  ///< wire latency of `in_channel` (credit return path)
+  // Credit-return path, cached at wiring time: the upstream router's output
+  // port feeding this input and that channel's latency. up_port is
+  // kInvalidPort for injection ports (no upstream channel).
+  RouterId up_router = 0;
+  PortId up_port = kInvalidPort;
+  u32 in_latency = 1;
   Span<VcFifo> vcs;
   Span<u8> head_busy;  ///< per VC: head packet is mid-transfer
 

@@ -136,9 +136,11 @@ void InvariantAuditor::check_credit_conservation(AuditReport& rep) const {
   }
   for (const Network::ShardState& sh : net_.shards_) {
     for (const auto& slot : sh.phit_wheel)
-      for (const Network::PhitEvent& e : slot) ++wire_phits[e.ch][e.vc];
+      for (const Network::PhitEvent& e : slot)
+        ++wire_phits[net_.phit_channel(e)][e.vc];
     for (const auto& slot : sh.credit_wheel)
-      for (const Network::CreditEvent& e : slot) ++wire_credits[e.ch][e.vc];
+      for (const Network::CreditEvent& e : slot)
+        ++wire_credits[net_.credit_channel(e)][e.vc];
   }
 
   for (ChannelId c = 0; c < num_ch; ++c) {
@@ -293,39 +295,40 @@ void InvariantAuditor::check_vct_atomicity(AuditReport& rep) const {
 // ---------------------------------------------------------------------------
 void InvariantAuditor::check_worklists(AuditReport& rep) const {
   ++rep.checks_run;
-  // Router list: flags and list membership must agree, and every router
-  // with activity must be listed (soundness: the list may additionally
-  // hold routers that went idle since the last refresh). Worklists are
-  // per shard (DESIGN.md §10); each entry must also belong to the shard
-  // that lists it, or two shards could advance the same router in
-  // parallel.
+  // Router lists: every router with activity must be listed (soundness:
+  // the list may additionally hold routers that went idle since the last
+  // prune). Worklists are per-shard bitsets over the shard's own router
+  // range (DESIGN.md §10), so a shard cannot list a router it does not
+  // own; the range itself must match the shard's, and the cached member
+  // count must match the bits, or the kernel's empty-worklist phase skip
+  // would misfire.
   std::vector<u8> listed(net_.routers_.size(), 0);
   for (u32 s = 0; s < net_.shards_.size(); ++s) {
     const Network::ShardState& sh = net_.shards_[s];
-    for (const RouterId r : sh.active_routers) {
-      if (r >= net_.routers_.size() || listed[r]) {
-        add(rep, Invariant::kWorklists,
-            format("shard %u worklist holds %s router id %u", s,
-                   r >= net_.routers_.size() ? "out-of-range" : "duplicate",
-                   r));
-        continue;
-      }
-      if (r < sh.router_begin || r >= sh.router_end) {
-        add(rep, Invariant::kWorklists,
-            format("shard %u [%u,%u) lists router %u owned by another "
-                   "shard — parallel phases would race on it",
-                   s, sh.router_begin, sh.router_end, r));
-      }
-      listed[r] = 1;
+    if (sh.active.begin() != sh.router_begin ||
+        sh.active.end() != sh.router_end) {
+      add(rep, Invariant::kWorklists,
+          format("shard %u [%u,%u) keeps its worklist over [%u,%u) — "
+                 "parallel phases would race on foreign routers",
+                 s, sh.router_begin, sh.router_end, sh.active.begin(),
+                 sh.active.end()));
+    }
+    u32 members = 0;
+    sh.active.for_each([&](RouterId r) {
+      ++members;
+      if (r < listed.size()) listed[r] = 1;
+    });
+    u32 bits = 0;
+    for (RouterId r = sh.active.begin(); r < sh.active.end(); ++r)
+      if (sh.active.contains(r)) ++bits;
+    if (members != bits || bits != sh.active.size()) {
+      add(rep, Invariant::kWorklists,
+          format("shard %u worklist counts %u members but holds %u bits "
+                 "(%u visited)",
+                 s, sh.active.size(), bits, members));
     }
   }
   for (RouterId r = 0; r < net_.routers_.size(); ++r) {
-    if (listed[r] != net_.router_in_worklist_[r]) {
-      add(rep, Invariant::kWorklists,
-          format("r%u: in_worklist flag %u but %slisted", r,
-                 static_cast<u32>(net_.router_in_worklist_[r]),
-                 listed[r] ? "" : "not "));
-    }
     if (net_.routers_[r].has_activity() && !listed[r]) {
       add(rep, Invariant::kWorklists,
           format("r%u has %u buffered packets / out-mask %llx but is "
@@ -350,29 +353,26 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                  net_.routers_[r].routable_heads));
     }
   }
-  // Node list: after do_injection's compaction it holds exactly the nodes
-  // with a non-empty source queue.
-  std::vector<u8> node_listed(net_.pending_.size(), 0);
-  for (const NodeId n : net_.active_nodes_) {
-    if (n >= net_.pending_.size() || node_listed[n]) {
-      add(rep, Invariant::kWorklists,
-          format("node worklist holds %s id %u",
-                 n >= net_.pending_.size() ? "out-of-range" : "duplicate",
-                 n));
-      continue;
-    }
-    node_listed[n] = 1;
-  }
+  // Node list: after do_injection's prune it holds exactly the nodes with
+  // a non-empty source queue.
+  const Worklist& nodes = net_.pending_nodes_;
+  u32 pending = 0;
   for (NodeId n = 0; n < net_.pending_.size(); ++n) {
-    if (node_listed[n] != net_.node_in_worklist_[n] ||
-        node_listed[n] != (net_.pending_[n].empty() ? 0 : 1)) {
+    const bool queued = !net_.pending_[n].empty();
+    pending += queued ? 1 : 0;
+    if (nodes.contains(n) != queued) {
       add(rep, Invariant::kWorklists,
-          format("node %u: %zu queued offers, in_worklist flag %u, "
-                 "%slisted",
-                 n, net_.pending_[n].size(),
-                 static_cast<u32>(net_.node_in_worklist_[n]),
-                 node_listed[n] ? "" : "not "));
+          format("node %u: %zu queued offers, but %slisted", n,
+                 net_.pending_[n].size(), nodes.contains(n) ? "" : "not "));
     }
+  }
+  if (nodes.begin() != 0 || nodes.end() != net_.pending_.size() ||
+      nodes.size() != pending) {
+    add(rep, Invariant::kWorklists,
+        format("node worklist over [%u,%u) counts %u members, expected %u "
+               "over [0,%zu)",
+               nodes.begin(), nodes.end(), nodes.size(), pending,
+               net_.pending_.size()));
   }
 }
 
@@ -413,9 +413,8 @@ void InvariantAuditor::check_ring_bubble(AuditReport& rep) const {
   for (const Network::ShardState& sh : net_.shards_) {
     for (const auto& slot : sh.phit_wheel) {
       for (const Network::PhitEvent& e : slot) {
-        const Channel ch = net_.channel(e.ch);
-        if (!ch.is_ejection() &&
-            net_.is_ring_input(ch.dst_router, ch.dst_port, e.vc))
+        if ((e.flags & Network::kPhitEject) == 0 &&
+            net_.is_ring_input(e.router, e.port, e.vc))
           ++occupied;
       }
     }
