@@ -69,6 +69,8 @@ void OfarPolicy::collect_global(const Network& net, CreditView& view,
                                 std::vector<PortId>& out) const {
   const Dragonfly& topo = net.topo();
   const PortId first = topo.first_global_port();
+  const GroupId here = topo.group_of(at);
+  const u32 local = topo.local_of(at);
   u64 m = (view.avail_mask() >> first) & ((u64{1} << topo.h()) - 1);
   while (m != 0) {
     const PortId port =
@@ -80,8 +82,7 @@ void OfarPolicy::collect_global(const Network& net, CreditView& view,
     OFAR_DCHECK(topo.global_port_wired(at, port));
     // Never "misroute" straight into the destination group: that link is
     // the minimal one and is carried by a different router anyway.
-    if (topo.slot_target(topo.group_of(at),
-                         topo.port_slot(topo.local_of(at), port)) == dst_group)
+    if (topo.slot_target(here, topo.port_slot(local, port)) == dst_group)
       continue;
     const double occ = view.base_occupancy(port);
     if (occ >= th || occ > gap_ceiling) continue;
@@ -89,33 +90,97 @@ void OfarPolicy::collect_global(const Network& net, CreditView& view,
   }
 }
 
+// Head key layout. Bits 0-7 hold the minimal output (ports <= 64, checked
+// at Network construction). The flags record what the decision below reads
+// of the packet and the input port, each stored only where it can matter,
+// so heads that differ only in a field their decision never reads share a
+// key (more scan-memo hits, Network::do_allocation):
+//   kKeyAtDst     at the destination router: the decision is "eject or
+//                 wait", so nothing else is stored;
+//   kKeyLeaving   in the source group of inter-group traffic (source group
+//                 here, destination group elsewhere) — the only way the
+//                 group fields enter a decision;
+//   kKeyInjection the input is an injection port (read only when leaving);
+//   kKeyLocalMis  local misroute spent in this group (OFAR only, not -L);
+//   kKeyGlobalMis global misroute spent (read only when leaving);
+// and bits 16-31 the destination group, which collect_global excludes —
+// stored only while a global misroute is still possible. kKeyValid keeps
+// every key nonzero.
+namespace {
+constexpr u32 kKeyPortMask = 0xFFu;
+constexpr u32 kKeyValid = 1u << 8;
+constexpr u32 kKeyAtDst = 1u << 9;
+constexpr u32 kKeyLeaving = 1u << 10;
+constexpr u32 kKeyInjection = 1u << 11;
+constexpr u32 kKeyLocalMis = 1u << 12;
+constexpr u32 kKeyGlobalMis = 1u << 13;
+constexpr u32 kKeyGroupShift = 16;
+}  // namespace
+
+PortId OfarPolicy::minimal_output(const Dragonfly& topo, RouterId at,
+                                  const Packet& pkt) noexcept {
+  return at == pkt.dst_router ? topo.node_port(topo.node_slot(pkt.dst))
+                              : topo.min_next_port(at, pkt.dst_router);
+}
+
+u32 OfarPolicy::head_key(const Dragonfly& topo, RouterId at, PortId in_port,
+                         const Packet& pkt, PortId min_port) const noexcept {
+  OFAR_DCHECK(min_port <= kKeyPortMask);
+  if (at == pkt.dst_router) return kKeyValid | kKeyAtDst | min_port;
+  u32 key = kKeyValid | min_port;
+  if (allow_local_ && pkt.local_misrouted) key |= kKeyLocalMis;
+  const GroupId here = topo.group_of(at);
+  const GroupId dst_group = topo.group_of(pkt.dst_router);
+  if (topo.group_of_node(pkt.src) == here && dst_group != here) {
+    key |= kKeyLeaving;
+    if (topo.port_class(in_port) == PortClass::kNode) key |= kKeyInjection;
+    if (pkt.global_misrouted) {
+      key |= kKeyGlobalMis;
+    } else {
+      OFAR_DCHECK(dst_group < (u32{1} << (32 - kKeyGroupShift)));
+      key |= dst_group << kKeyGroupShift;
+    }
+  }
+  return key;
+}
+
 RouteChoice OfarPolicy::route(RouteContext& ctx) {
   Network& net = ctx.net;
   Packet& pkt = ctx.pkt;
   CreditView& view = ctx.view;
   const RouterId at = ctx.at;
-  const PortId in_port = ctx.in_port;
   const u32 lane = ctx.lane;
   RouteProvenance* const prov = ctx.prov;
   const Dragonfly& topo = net.topo();
-  const GroupId here = topo.group_of(at);
 
-  // Crossing into a new group re-arms the per-group local-misroute flag.
-  if (pkt.flag_group != here) {
-    pkt.flag_group = here;
-    pkt.local_misrouted = false;
+  // A head's first visit normalises the packet; the first visit that finds
+  // the minimal output unavailable also computes the head's key, and later
+  // visits read the key instead (RoutingPolicy's key contract). Nothing the
+  // key summarises changes while the packet waits. Heads whose minimal
+  // output is free — nearly all at low load — never pay for the key.
+  u32 key = ctx.head_key != nullptr ? *ctx.head_key : 0;
+  PortId min_port;
+  if (key == 0) {
+    // Crossing into a new group re-arms the per-group local-misroute flag.
+    const GroupId here = topo.group_of(at);
+    if (pkt.flag_group != here) {
+      pkt.flag_group = here;
+      pkt.local_misrouted = false;
+    }
+    // Packets riding the escape ring follow the ring discipline; their
+    // heads get no key.
+    if (net.is_ring_input(at, ctx.in_port, ctx.in_vc)) {
+      OFAR_DCHECK(pkt.in_ring);
+      return ring_.ride(ctx);
+    }
+    min_port = minimal_output(topo, at, pkt);
+  } else {
+    min_port = static_cast<PortId>(key & kKeyPortMask);
+    OFAR_DCHECK(pkt.flag_group == topo.group_of(at));
+    OFAR_DCHECK(!net.is_ring_input(at, ctx.in_port, ctx.in_vc));
+    OFAR_DCHECK(key == head_key(topo, at, ctx.in_port, pkt,
+                                minimal_output(topo, at, pkt)));
   }
-
-  // Packets riding the escape ring follow the ring discipline.
-  if (net.is_ring_input(at, in_port, ctx.in_vc)) {
-    OFAR_DCHECK(pkt.in_ring);
-    return ring_.ride(ctx);
-  }
-
-  const bool at_dst = at == pkt.dst_router;
-  const PortId min_port = at_dst
-                              ? topo.node_port(topo.node_slot(pkt.dst))
-                              : min_port_to_router(net, at, pkt.dst_router);
   if (prov) {
     prov->min_port = min_port;
     prov->q_min = static_cast<float>(view.base_occupancy(min_port));
@@ -132,10 +197,14 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
     }
     return RouteChoice::to(min_port, vc);
   }
+  if (key == 0) {
+    key = head_key(topo, at, ctx.in_port, pkt, min_port);
+    if (ctx.head_key != nullptr) *ctx.head_key = key;
+  }
 
   // At the destination router the only sensible move is to wait for the
   // ejection port; misrouting or escaping would only lengthen the path.
-  if (at_dst) {
+  if ((key & kKeyAtDst) != 0) {
     if (prov) prov->condition = RouteCondition::kWaitBusy;
     return RouteChoice::none();
   }
@@ -146,27 +215,23 @@ RouteChoice OfarPolicy::route(RouteContext& ctx) {
     const double th = nonmin_threshold(q_min);
     // Candidates must also clear the absolute gap guard (see config.hpp).
     const double gap_ceiling = q_min - thresholds_.min_gap;
-    const GroupId src_group = topo.group_of_node(pkt.src);
-    const GroupId dst_group = topo.group_of(pkt.dst_router);
+    const bool leaving = (key & kKeyLeaving) != 0;
     const bool min_is_local =
         topo.port_class(min_port) == PortClass::kLocal;
 
-    const bool local_flag_free = allow_local_ && !pkt.local_misrouted;
     // Local misroute: in the source group of inter-group traffic it is
     // always an option; elsewhere only when the minimal output itself is a
     // congested local port (paper §IV-A).
-    const bool local_allowed =
-        local_flag_free &&
-        ((here == src_group && here != dst_group) || min_is_local);
-    const bool global_allowed = here == src_group && here != dst_group &&
-                                !pkt.global_misrouted;
+    const bool local_allowed = allow_local_ && (key & kKeyLocalMis) == 0 &&
+                               (leaving || min_is_local);
+    const bool global_allowed = leaving && (key & kKeyGlobalMis) == 0;
+    const GroupId dst_group = key >> kKeyGroupShift;
 
-    const PortClass in_class = topo.port_class(in_port);
     OFAR_DCHECK(lane < lanes_.size());
     Lane& ln = lanes_[lane];
     std::vector<PortId>& scratch = ln.scratch;
     scratch.clear();
-    if (here == src_group && here != dst_group && in_class == PortClass::kNode) {
+    if (leaving && (key & kKeyInjection) != 0) {
       // Injection queues misroute globally (saves Valiant's first local hop).
       if (global_allowed) collect_global(net, view, at, min_port, dst_group,
                                          th, gap_ceiling, scratch);

@@ -33,6 +33,8 @@
 
 namespace ofar {
 
+class Dragonfly;
+
 class OfarPolicy final : public RoutingPolicy {
  public:
   OfarPolicy(const SimConfig& cfg, bool allow_local);
@@ -42,6 +44,7 @@ class OfarPolicy final : public RoutingPolicy {
   }
 
   RouteChoice route(RouteContext& ctx) override;
+  bool routes_onto_ring() const noexcept override { return true; }
   void bind_lanes(u32 lanes) override;
   void save_state(CkptWriter& w) const override;
   void load_state(CkptReader& r) override;
@@ -56,6 +59,17 @@ class OfarPolicy final : public RoutingPolicy {
     OFAR_LANE_RNG Rng rng;
     std::vector<PortId> scratch;
   };
+
+  /// Minimal output of `pkt` at router `at`: the ejection port at the
+  /// destination router, else the next port of the minimal path.
+  static PortId minimal_output(const Dragonfly& topo, RouterId at,
+                               const Packet& pkt) noexcept;
+  /// The head key (RoutingPolicy's key contract) of a canonical-network
+  /// head at router `at` whose minimal output is `min_port`, computed from
+  /// the packet after the flag_group normalisation; layout in
+  /// ofar_routing.cpp. Never 0.
+  u32 head_key(const Dragonfly& topo, RouterId at, PortId in_port,
+               const Packet& pkt, PortId min_port) const noexcept;
 
   /// Threshold below which a non-minimal output is an eligible candidate.
   double nonmin_threshold(double q_min) const noexcept {

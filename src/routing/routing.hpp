@@ -114,6 +114,10 @@ struct RouteContext {
   /// (packet tracing); filling it must not change the decision or consume
   /// extra RNG draws.
   RouteProvenance* prov = nullptr;
+  /// When non-null, the head's key slot (InputPort::head_key): 0 until the
+  /// policy stores a key for this head, then that key. The kernel zeroes it
+  /// when the head pops. See RoutingPolicy's key contract.
+  u32* head_key = nullptr;
 };
 
 class RoutingPolicy {
@@ -151,6 +155,23 @@ class RoutingPolicy {
   /// packet's Valiant intermediate even when the chosen port then turns out
   /// blocked).
   virtual bool blocked_route_is_pure() const noexcept { return true; }
+
+  // Head-key contract. A policy may store a nonzero u32 in *ctx.head_key
+  // that summarises everything its route() reads for this head apart from
+  // the state of router ctx.at (credit view, output ports): packet fields
+  // fixed while the packet waits at this head, and the input port. While
+  // the view stays bound to one router, a failing call must then be a pure
+  // function of the view and the key, so when blocked_route_is_pure()
+  // holds the allocation scan skips a head whose key already failed in the
+  // same scan (Network::do_allocation). A keyed call must not rely on
+  // normalising the packet again: the first, unkeyed call of the head has
+  // done it. The default writes no key, so every head gets its own call.
+
+  /// True when route() can request the escape ring (enter_ring). The
+  /// blocked-scan skip must then also find the ring output unable to move
+  /// a packet; for policies that never route onto the ring its credits are
+  /// irrelevant.
+  virtual bool routes_onto_ring() const noexcept { return false; }
 
   /// Announces the number of route() lanes the kernel will use (the shard
   /// count). Called once at Network construction, before any traffic.

@@ -23,6 +23,17 @@ SeparableAllocator::SeparableAllocator(u32 max_ports)
 void SeparableAllocator::run(Router& router, std::vector<AllocRequest>& reqs,
                              u32 iterations, Cycle now) {
   if (reqs.empty()) return;
+  if (reqs.size() == 1) {
+    // One request: both stages would pick it (pick_mask of a single bit is
+    // that bit) and make the same two LRS updates, so grant it directly.
+    AllocRequest& rq = reqs[0];
+    OFAR_DCHECK(rq.choice.valid);
+    if (iterations == 0) return;
+    rq.granted = true;
+    router.input_arb[rq.in_port].grant(rq.in_vc, now);
+    router.output_arb[rq.choice.out_port].grant(rq.in_port, now);
+    return;
+  }
   OFAR_DCHECK(reqs.size() <= 0xFFFF);  // req_at_/fwd_req_ hold u16 indices
 
   // Build the packed request matrix. At most one request exists per

@@ -14,7 +14,8 @@
 //     holds because LRS picks are order-independent (strict min over
 //     (last_grant, index) — see LrsArbiter::pick_mask) and stage 1 forwards
 //     at most one request per input per iteration, making stage-2 outputs
-//     independent within an iteration.
+//     independent within an iteration. A lone request (every allocation
+//     at low load) is granted directly with the same two LRS updates.
 //   * ReferenceAllocator — the original per-port-vector implementation,
 //     retained verbatim as the executable specification. Not used on the
 //     hot path; tests/test_alloc_equiv.cpp pits the packed kernel against

@@ -5,11 +5,11 @@
 // that hot working set into per-shard SoA arenas:
 //
 //   * ShardArena — chunked stable-address pools per shard for FIFO control
-//     words, FIFO ring slots, head-busy flags and credit counters. Routers
-//     hold Span views into the chunks, so a shard's allocation scan walks a
-//     few flat arrays instead of hopping between per-router heap vectors,
-//     and routers can be bound lazily on first touch (untouched routers
-//     cost nothing at h=16 scale).
+//     words, FIFO ring slots, head-busy flags, head keys and credit
+//     counters. Routers hold Span views into the chunks, so a shard's
+//     allocation scan walks a few flat arrays instead of hopping between
+//     per-router heap vectors, and routers can be bound lazily on first
+//     touch (untouched routers cost nothing at h=16 scale).
 //   * HeadView — read-only façade over one input port's per-VC head state;
 //     the auditor, telemetry and deadlock forensics consume FIFO state
 //     through it, so the packed layout can change freely underneath them.
@@ -86,6 +86,7 @@ struct OFAR_SHARD_LOCAL ShardArena {
   ChunkPool<VcFifo> fifos;              ///< control blocks, router/port/VC-major
   ChunkPool<VcFifo::Entry> fifo_slots;  ///< ring storage backing `fifos`
   ChunkPool<u8> head_busy;              ///< parallel to `fifos`
+  ChunkPool<u32> head_keys;             ///< parallel to `fifos`, zeroed
   ChunkPool<u32> credits;               ///< output credit counters
   ChunkPool<u32> credit_caps;           ///< parallel to `credits`
 
@@ -96,13 +97,16 @@ struct OFAR_SHARD_LOCAL ShardArena {
                    u32 slots_per_vc) {
     VcFifo* f = fifos.alloc(count);
     u8* hb = head_busy.alloc(count);
+    u32* hk = head_keys.alloc(count);
     for (u32 v = 0; v < count; ++v) {
       VcFifo::Entry* slots = fifo_slots.alloc(slots_per_vc);
       f[v] = VcFifo(capacity, slots, slots_per_vc);
       hb[v] = 0;
+      hk[v] = 0;
     }
     r.inputs[port].vcs = Span<VcFifo>(f, count);
     r.inputs[port].head_busy = Span<u8>(hb, count);
+    r.inputs[port].head_key = Span<u32>(hk, count);
   }
 
   /// Carves `count` credit counters initialised to `value` and binds
@@ -136,6 +140,9 @@ class HeadView {
   u32 head_arrived(VcId v) const noexcept { return in_->vcs[v].head_arrived(); }
   u32 head_sent(VcId v) const noexcept { return in_->vcs[v].head_sent(); }
   bool head_in_flight(VcId v) const noexcept { return in_->head_busy[v] != 0; }
+  /// Routing policy's cached key for the head packet (0 = none yet); see
+  /// InputPort::head_key.
+  u32 head_key(VcId v) const noexcept { return in_->head_key[v]; }
   /// Head present, fully routable, and not mid-transfer (== has_head).
   bool routable(VcId v) const noexcept { return in_->has_head(v); }
 

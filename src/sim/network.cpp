@@ -115,6 +115,7 @@ Network::Network(const SimConfig& cfg)
   }
 
   policy_ = make_policy(cfg_);
+  policy_routes_onto_ring_ = policy_->routes_onto_ring();
   pending_.resize(topo_.nodes());
   policy_->bind_lanes(shard_count);
   for (ShardState& sh : shards_) sh.view.init(*this);
@@ -690,6 +691,7 @@ void Network::advance_transfers(ShardState& sh) {
       --out.phits_left;
       --r.buffered_phits;
       if (popped) {
+        in.head_key[out.src_vc] = 0;  // the key described the departed head
         --r.buffered_packets;
         if (fifo.empty()) {
           r.input_mask[out.src_port] &=
@@ -737,16 +739,21 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // call draws no RNG and changes nothing the next call would not redo,
     // so the scan itself can be skipped. Telemetry and tracing observe the
     // failing calls (per-head stall attribution, provenance events), so
-    // either disables the skip. Both tests are pure; the ring test goes
-    // first because it reads one port, while avail_mask() refreshes every
-    // port of the view — and the skip cannot fire while the ring can move.
-    if (skip_blocked_scans_ && !ring_can_take_packet(r) &&
+    // either disables the skip. The ring matters only to policies that
+    // route onto it. Both tests are pure; the ring test goes first because
+    // it reads one port, while avail_mask() refreshes every port of the
+    // view — and the skip cannot fire while the ring can move.
+    if (skip_blocked_scans_ &&
+        !(policy_routes_onto_ring_ && ring_can_take_packet(r)) &&
         sh.view.avail_mask() == 0)
       return;
     // Pass 1: gather routable heads from the flat FIFO arena and prefetch
-    // each head packet's cache line. Head packets are scattered across the
-    // pool, so letting the loads overlap here (instead of stalling pass 2
-    // one miss at a time) is worth a second, purely local walk.
+    // the cache line of each head packet that has no key yet. Head packets
+    // are scattered across the pool, so letting the loads overlap here
+    // (instead of stalling pass 2 one miss at a time) is worth a second,
+    // purely local walk. A head with a key is routed from the key alone,
+    // so its line is fetched only once its request succeeds (below), for
+    // commit_grant.
     sh.heads.clear();
     for (PortId port = 0; port < r.inputs.size(); ++port) {
       u8 mask = r.input_mask[port];
@@ -757,22 +764,39 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
         mask &= static_cast<u8>(mask - 1);
         if (!in.has_head(vc)) continue;
         const PacketId pid = in.vcs[vc].head();
-        __builtin_prefetch(&pool_.get(pid));
-        sh.heads.push_back({port, vc, pid});
+        const u32 key = in.head_key[vc];
+        if (key == 0) __builtin_prefetch(&pool_.get(pid));
+        sh.heads.push_back({port, vc, pid, key});
       }
     }
-    // Pass 2: one route() call per head, in the same port/VC order.
+    // Pass 2: one route() call per head, in the same port/VC order —
+    // except for a head whose key already failed in this scan. Under the
+    // head-key contract (RoutingPolicy) its call would fail again and,
+    // for pure-when-blocked policies, change nothing, so the memo skips it
+    // under exactly the conditions of the blocked-scan skip above.
+    const bool memo = skip_blocked_scans_;
+    sh.failed_keys.clear();
+    const auto failed = [&sh](u32 key) {
+      bool hit = false;  // branch-free: the list holds a handful of keys
+      for (const u32 k : sh.failed_keys) hit |= k == key;
+      return hit;
+    };
     for (const ShardState::HeadRef& h : sh.heads) {
+      if (memo && h.key != 0 && failed(h.key)) continue;
       Packet& pkt = pool_.get(h.pid);
-      const bool want_prov = pkt.traced && tracer_;
+      const bool want_prov = tracer_ && pkt.traced;
       if (want_prov) prov = RouteProvenance{};
-      RouteContext rctx{*this, sh.view, r.id,         h.port,
-                        h.vc,  pkt,    lane, want_prov ? &prov : nullptr};
+      u32* const key = &r.inputs[h.port].head_key[h.vc];
+      RouteContext rctx{*this, sh.view, r.id, h.port, h.vc, pkt, lane,
+                        want_prov ? &prov : nullptr, key};
       const RouteChoice choice = policy_->route(rctx);
       if (!choice.valid) {
         if (telem_) telem_->note_credit_stall(r.id, h.port, h.vc);
+        if (memo && *key != 0 && !failed(*key))
+          sh.failed_keys.push_back(*key);
         continue;
       }
+      if (h.key != 0) __builtin_prefetch(&pkt);  // commit_grant reads it
       OFAR_DCHECK(!r.outputs[choice.out_port].busy());
       OFAR_DCHECK(r.outputs[choice.out_port].credits[choice.out_vc] >=
                   cfg_.packet_size);

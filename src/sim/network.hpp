@@ -415,8 +415,12 @@ class Network {
       PortId port;
       VcId vc;
       PacketId pid;
+      u32 key;  ///< the head's InputPort::head_key when gathered
     };
     std::vector<HeadRef> heads;
+    /// Nonzero head keys whose route() call failed in the current router
+    /// scan (the blocked-head memo; cleared per scan, a handful of entries).
+    std::vector<u32> failed_keys;
 
     // Event wheels of the events this shard's routers send, indexed by
     // cycle % wheel size. Every latency is >= 1, so the transfer phase only
@@ -566,6 +570,9 @@ class Network {
   /// (requires a pure-when-blocked policy and no tracer/telemetry observing
   /// the failing calls). Read-only during parallel phases.
   bool skip_blocked_scans_ = false;
+  /// policy_->routes_onto_ring(), latched at construction: only then can
+  /// escape-ring credits keep the blocked-scan skip from firing.
+  bool policy_routes_onto_ring_ = false;
   OFAR_SERIAL_ONLY std::unique_ptr<TrafficSource> traffic_;
   OFAR_SERIAL_ONLY std::function<void(const TraceEvent&)> tracer_;
 

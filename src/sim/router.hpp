@@ -6,13 +6,14 @@
 // orchestration lives in Network; Router is state + small queries.
 //
 // Storage layout: the per-VC state every hot scan touches — downstream
-// credit counters, FIFO metadata + ring slots, head-busy flags — lives in
-// contiguous per-SHARD arenas (sim/flat_state.hpp), laid out router/port/
-// VC-major; InputPort/OutputPort hold Span views into them. The allocation
-// and routing scans of a shard therefore stream through a few flat arrays
-// instead of chasing per-router heap vectors. Arenas allocate in large
-// stable-address chunks (see ShardArena), so routers can be bound lazily on
-// first touch while every Span stays valid for the network's lifetime.
+// credit counters, FIFO metadata + ring slots, head-busy flags, head keys —
+// lives in contiguous per-SHARD arenas (sim/flat_state.hpp), laid out
+// router/port/VC-major; InputPort/OutputPort hold Span views into them. The
+// allocation and routing scans of a shard therefore stream through a few
+// flat arrays instead of chasing per-router heap vectors. Arenas allocate
+// in large stable-address chunks (see ShardArena), so routers can be bound
+// lazily on first touch while every Span stays valid for the network's
+// lifetime.
 #pragma once
 
 #include <vector>
@@ -99,6 +100,11 @@ struct InputPort {
   u32 in_latency = 1;
   Span<VcFifo> vcs;
   Span<u8> head_busy;  ///< per VC: head packet is mid-transfer
+  /// Per VC: the routing policy's cached key for the current head packet,
+  /// 0 until the policy's route() stores one (RouteContext::head_key).
+  /// Derived state: advance_transfers zeroes it when the head pops — the
+  /// only pop site — so a key never outlives the packet it describes.
+  Span<u32> head_key;
 
   bool has_head(VcId v) const noexcept {
     return !vcs[v].empty() && head_busy[v] == 0 && vcs[v].head_arrived() > 0;

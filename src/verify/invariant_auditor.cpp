@@ -339,12 +339,23 @@ void InvariantAuditor::check_worklists(AuditReport& rep) const {
                      net_.routers_[r].active_out_mask)));
     }
     // routable_heads must count exactly the (port, vc) heads the
-    // allocation scan could request for.
+    // allocation scan could request for. A routing head key describes the
+    // head packet, so it may sit only on a VC that holds one: a key left
+    // on an empty VC would be read for the next packet to arrive there.
     u32 heads = 0;
-    for (const InputPort& port : net_.routers_[r].inputs) {
-      const HeadView in(port);
-      for (VcId v = 0; v < in.num_vcs(); ++v)
+    for (PortId p = 0; p < net_.routers_[r].inputs.size(); ++p) {
+      const HeadView in(net_.routers_[r].inputs[p]);
+      for (VcId v = 0; v < in.num_vcs(); ++v) {
         if (in.routable(v)) ++heads;
+        if (in.head_key(v) != 0 && in.empty(v)) {
+          add(rep, Invariant::kWorklists,
+              format("r%u.p%uv%u: head key %#x on an empty VC — it "
+                     "outlived its packet and would be read for the "
+                     "next head",
+                     r, static_cast<u32>(p), static_cast<u32>(v),
+                     in.head_key(v)));
+        }
+      }
     }
     if (heads != net_.routers_[r].routable_heads) {
       add(rep, Invariant::kWorklists,

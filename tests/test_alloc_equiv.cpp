@@ -12,7 +12,9 @@
 //   * exhaustive-small enumerations — every matrix over tiny geometries,
 //     and every ordered pair of matrices (the second run starts from the
 //     state the first one left), so no reachable two-step history is
-//     missed at that size.
+//     missed at that size;
+//   * single-request matrices from random arbiter histories — the packed
+//     kernel's direct-grant path.
 //
 // Grant-shape invariants (at most one grant per input port and per output
 // port; grants only where requests were) are asserted along the way.
@@ -224,6 +226,52 @@ TEST(AllocEquivalence, ExhaustiveSingleIteration) {
   // losers never get a second chance; trips any divergence hidden by the
   // usual 3-iteration convergence.
   exhaustive_pairs(2, 2, 1);
+}
+
+/// Gives both twins the same random LRS history: every arbiter candidate's
+/// last-grant cycle is drawn from [0, now).
+void randomize_history(Rng& rng, Router& ra, Router& rb, Cycle now) {
+  for (std::size_t p = 0; p < ra.input_arb.size(); ++p) {
+    for (u32 c = 0; c < ra.input_arb[p].size(); ++c) {
+      const Cycle t = rng.below(static_cast<u32>(now));
+      ra.input_arb[p].grant(c, t);
+      rb.input_arb[p].grant(c, t);
+    }
+    for (u32 c = 0; c < ra.output_arb[p].size(); ++c) {
+      const Cycle t = rng.below(static_cast<u32>(now));
+      ra.output_arb[p].grant(c, t);
+      rb.output_arb[p].grant(c, t);
+    }
+  }
+}
+
+TEST(AllocEquivalence, SingleRequestFromRandomHistory) {
+  // The packed allocator grants a lone request directly, skipping the
+  // request matrix and both matching stages. Each case starts from a fresh
+  // random LRS history and covers every iteration count from 0 (no grant)
+  // to 3, on geometries up to the 64-port limit.
+  const struct {
+    u32 ports, vcs;
+  } geoms[] = {{2, 1}, {4, 2}, {16, 8}, {64, 8}};
+  Rng rng(0x51A61EULL);
+  for (const auto& g : geoms) {
+    Router ra = make_arb_router(g.ports, g.vcs);
+    Router rb = make_arb_router(g.ports, g.vcs);
+    SeparableAllocator packed(g.ports);
+    ReferenceAllocator ref(g.ports);
+    for (Cycle now = 100; now < 600; ++now) {
+      randomize_history(rng, ra, rb, now);
+      AllocRequest rq;
+      rq.in_port = static_cast<PortId>(rng.below(g.ports));
+      rq.in_vc = static_cast<VcId>(rng.below(g.vcs));
+      rq.packet = 0;
+      rq.choice = RouteChoice::to(static_cast<PortId>(rng.below(g.ports)),
+                                  static_cast<VcId>(rng.below(g.vcs)));
+      const u32 iterations = static_cast<u32>(now % 4);
+      run_and_compare(packed, ref, ra, rb, {rq}, iterations, now);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(AllocEquivalence, EmptyMatrixIsANoOp) {

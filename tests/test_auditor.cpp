@@ -7,8 +7,8 @@
 //     stat digests bit-identical (the auditor is read-only and RNG-free).
 //  2. Fault injection: seeded corruptions of live network state — a leaked
 //     credit, a double-granted head, a wedged transfer, a dropped worklist
-//     entry, a phantom packet, an overfilled escape ring, a wedged ring
-//     wait cycle — are each caught by the matching check with an
+//     entry, a stale routing head key, a phantom packet, an overfilled
+//     escape ring, a wedged ring wait cycle — are each caught by the matching check with an
 //     actionable (non-empty, state-naming) report. The corruptions go
 //     through public accessors only, the same surface a buggy kernel
 //     change would reach.
@@ -283,6 +283,31 @@ TEST(AuditorMutation, RoutableHeadMiscountCaught) {
   AuditReport rep;
   InvariantAuditor(*net).check_worklists(rep);
   expect_caught(rep, Invariant::kWorklists);
+}
+
+TEST(AuditorMutation, StaleHeadKeyCaught) {
+  auto net = saturated_net();
+  // A key planted on an empty VC is what a missed reset at the head's pop
+  // would leave: the next packet to reach that head would be routed with
+  // the departed packet's key.
+  for (RouterId r = 0; r < net->topo().routers(); ++r) {
+    Router& router = net->router(r);
+    for (InputPort& in : router.inputs) {
+      for (VcId v = 0; v < in.vcs.size(); ++v) {
+        if (!in.vcs[v].empty()) continue;
+        AuditReport clean;
+        InvariantAuditor(*net).check_worklists(clean);
+        EXPECT_TRUE(clean.ok()) << clean.to_string();
+        in.head_key[v] = 0x1234;
+        AuditReport rep;
+        InvariantAuditor(*net).check_worklists(rep);
+        expect_caught(rep, Invariant::kWorklists);
+        EXPECT_NE(rep.to_string().find("head key"), std::string::npos);
+        return;
+      }
+    }
+  }
+  ADD_FAILURE() << "no empty VC in the saturated network";
 }
 
 TEST(AuditorMutation, PhantomPacketCaught) {

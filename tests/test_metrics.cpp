@@ -490,15 +490,17 @@ TEST(Telemetry, EnablingTelemetryPreservesDeterminism) {
   // with no grantable output, the telemetry run makes every call. Equal
   // digests are what RoutingPolicy::blocked_route_is_pure() promises, so
   // every mechanism that claims it runs here, saturated: OFAR and OFAR-L
-  // under ADV+1 at 0.6, the others under uniform at 1.0 and without an
-  // escape ring (they never use it, and a ring with free credits keeps the
-  // skip from firing). At these loads the skip fires for every mechanism.
-  // OFAR also runs on four shards driven by one and by four worker
-  // threads: the profiler splits the fused transfers+allocation phase only
-  // when telemetry is on, and that split must not change any outcome
-  // either.
+  // under ADV+1 at 0.6 with the physical escape ring, the others under
+  // uniform at 1.0 both with the physical ring (they never route onto it,
+  // so its free credits must not keep the skip from firing) and without
+  // one. At these loads the skip — and, for OFAR, the blocked-head memo —
+  // fires for every mechanism. OFAR also runs on four shards driven by one
+  // and by four worker threads: the profiler splits the fused
+  // transfers+allocation phase only when telemetry is on, and that split
+  // must not change any outcome either.
   struct Shape {
     RoutingKind routing;
+    RingKind ring;
     u32 shards;
     unsigned threads;
   };
@@ -509,22 +511,27 @@ TEST(Telemetry, EnablingTelemetryPreservesDeterminism) {
         RoutingKind::kOfarL}) {
     SimConfig cfg = small_config(12345);
     cfg.routing = k;
-    if (make_policy(cfg)->blocked_route_is_pure()) shapes.push_back({k, 1, 1});
+    const auto policy = make_policy(cfg);
+    if (!policy->blocked_route_is_pure()) continue;
+    shapes.push_back({k, RingKind::kPhysical, 1, 1});
+    if (!policy->routes_onto_ring())
+      shapes.push_back({k, RingKind::kNone, 1, 1});
   }
-  ASSERT_GE(shapes.size(), 6u);  // every mechanism but PAR
-  shapes.push_back({RoutingKind::kOfar, 4, 1});
-  shapes.push_back({RoutingKind::kOfar, 4, 4});
+  ASSERT_GE(shapes.size(), 10u);  // every mechanism but PAR; 4 of them twice
+  shapes.push_back({RoutingKind::kOfar, RingKind::kPhysical, 4, 1});
+  shapes.push_back({RoutingKind::kOfar, RingKind::kPhysical, 4, 4});
   static constexpr Cycle kCycles = 3'000;
   for (const Shape shape : shapes) {
     SCOPED_TRACE(::testing::Message() << to_string(shape.routing)
+                                      << " ring=" << to_string(shape.ring)
                                       << " sim_shards=" << shape.shards
                                       << " sim_threads=" << shape.threads);
     SimConfig cfg = small_config(12345);
     cfg.routing = shape.routing;
+    cfg.ring = shape.ring;
     cfg.sim_shards = shape.shards;
     const bool ring_routing = shape.routing == RoutingKind::kOfar ||
                               shape.routing == RoutingKind::kOfarL;
-    if (!ring_routing) cfg.ring = RingKind::kNone;
     auto run = [&cfg, &shape, ring_routing](bool telemetry) {
       Network net(cfg);
       net.set_sim_threads(shape.threads);

@@ -167,6 +167,55 @@ TEST_P(CheckpointRestart, MidRunSaveResumesBitIdentically) {
 INSTANTIATE_TEST_SUITE_P(SimThreads, CheckpointRestart,
                          ::testing::Values(1u, 2u, 4u));
 
+TEST(CheckpointRestart, SaturatedAdversarialOfarResumesBitIdentically) {
+  // OFAR past saturation under ADV+1: at the save, heads wait with cached
+  // routing keys (InputPort::head_key) and routers hold several heads that
+  // share a key, so the blocked-head memo is in use. Checkpoints do not
+  // store keys — the restored network starts with none and recomputes
+  // them on each head's next visit — so the continuation must still equal
+  // the uninterrupted run.
+  const std::string path = ckpt_path("adv");
+  const SimConfig cfg = scale_config(RoutingKind::kOfar);
+  auto adversarial = [&cfg] {
+    return std::make_unique<BernoulliSource>(TrafficPattern::adversarial(1),
+                                             0.7, cfg.seed);
+  };
+  Network a(cfg);
+  a.set_traffic(adversarial());
+  a.run(1000);
+
+  u32 keyed = 0;        // routable heads carrying a key
+  u32 shared_keys = 0;  // ... whose key an earlier head of the router has
+  for (RouterId r = 0; r < a.topo().routers(); ++r) {
+    if (!a.router_built(r)) continue;
+    std::vector<u32> seen;
+    for (const InputPort& port : a.router(r).inputs) {
+      const HeadView in(port);
+      for (VcId v = 0; v < in.num_vcs(); ++v) {
+        if (!in.routable(v) || in.head_key(v) == 0) continue;
+        ++keyed;
+        for (const u32 k : seen) shared_keys += k == in.head_key(v) ? 1 : 0;
+        seen.push_back(in.head_key(v));
+      }
+    }
+  }
+  EXPECT_GT(keyed, 0u);
+  EXPECT_GT(shared_keys, 0u);
+
+  std::string err;
+  ASSERT_TRUE(CheckpointIO::save(a, path, &err)) << err;
+  a.run(500);
+
+  Network b(cfg);
+  b.set_traffic(adversarial());
+  ASSERT_TRUE(CheckpointIO::restore(b, path, &err)) << err;
+  b.run(500);
+  expect_digest_eq(digest(b), digest(a));
+  EXPECT_GT(digest(a).local_mis + digest(a).global_mis, 0u);
+  EXPECT_TRUE(b.check_worklists());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRestart, EveryMechanismRoundTrips) {
   // The policy/traffic save_state hooks differ per mechanism (Valiant lane
   // RNGs, Piggyback broadcast state, OFAR lanes); round-trip each one.
