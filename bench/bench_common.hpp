@@ -1,9 +1,9 @@
 // Shared scaffolding for the figure-reproduction benches: common CLI
 // options (network scale, measurement windows, CSV output, thread count,
 // result cache) and the load-grid helper. The figure logic itself lives in
-// presets.cpp; the per-figure binaries are thin shims over that registry.
+// presets.cpp, and `ofar_run --preset NAME` runs any entry of that registry.
 //
-// Every bench accepts:
+// Every preset run accepts:
 //   --h N           network radix (paper: 6; default 4 — see EXPERIMENTS.md)
 //   --seed S        RNG seed
 //   --warmup C      warm-up cycles before the measurement window
@@ -25,8 +25,7 @@
 //                     JSONL by extension)
 //   --trace-sample N  trace 1 in N packets (default 64; 1 traces all)
 //   --cache-dir D   content-addressed result cache + resume journal
-//                   (shim binaries default to no cache; ofar_run defaults
-//                   to .ofar-cache)
+//                   (default .ofar-cache)
 //   --no-cache      force caching off even where a default cache applies
 //   --checkpoint-dir D      mid-point checkpoint/restart for steady points:
 //                           full simulation state saved per point key,

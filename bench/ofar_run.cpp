@@ -20,8 +20,6 @@
 
 namespace {
 
-constexpr const char* kDefaultCacheDir = ".ofar-cache";
-
 void usage() {
   std::printf(
       "usage:\n"
@@ -36,7 +34,7 @@ void usage() {
       "The result cache defaults to %s; identical points are served\n"
       "from the journal without simulating. Interrupted runs (SIGINT or\n"
       "--stop-after) resume on the next identical invocation.\n",
-      kDefaultCacheDir);
+      ofar::bench::kDefaultCacheDir);
 }
 
 }  // namespace
@@ -66,7 +64,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!preset.empty())
-    return run_preset_main(preset, argc, argv, kDefaultCacheDir);
+    return run_preset_main(preset, argc, argv);
   if (spec_path.empty()) {
     usage();
     return 1;

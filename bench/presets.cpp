@@ -181,6 +181,14 @@ std::string format2(const char* fmt, double a) {
 // Steady figure presets (pure cross products -> generic renderer)
 // ---------------------------------------------------------------------------
 
+// Fig. 3 reproduction: latency (a) and throughput (b) versus offered load
+// under uniform random traffic (UN), for MIN, PB, OFAR and OFAR-L.
+// VAL is omitted exactly as in the paper (it halves UN throughput).
+//
+// Expected shape (paper §VI-A): OFAR latency competitive with MIN at low
+// load; OFAR/OFAR-L saturate later than MIN and PB; PB latency visibly
+// higher at low load due to spurious misrouting; local misrouting makes
+// little difference under UN.
 PresetRun make_fig3(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 5'000, 6'000);
@@ -206,6 +214,14 @@ PresetRun make_fig3(const CommandLine& cli) {
   return r;
 }
 
+// Fig. 4 reproduction: latency (a) and throughput (b) versus offered load
+// under adversarial +2 traffic (ADV+2), for VAL, PB, OFAR and OFAR-L.
+// MIN is omitted as in the paper (it jams on the single minimal global
+// link; VAL is the reference instead).
+//
+// Expected shape (paper §VI-A): OFAR shows the best latency and saturates
+// highest (paper: 0.45 vs PB's 0.38 at h=6); OFAR beats OFAR-L slightly;
+// VAL sits lowest of the load-balanced mechanisms.
 PresetRun make_fig4(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 5'000, 6'000);
@@ -231,6 +247,15 @@ PresetRun make_fig4(const CommandLine& cli) {
   return r;
 }
 
+// Fig. 5 reproduction: latency (a) and throughput (b) versus offered load
+// under the worst-case adversarial pattern ADV+h, for VAL, PB, OFAR and
+// OFAR-L. This is the paper's headline result: the consecutive global
+// wiring funnels all misrouted transit traffic of a group pair through one
+// local link, capping every mechanism WITHOUT local misrouting at
+// 1/h phits/(node*cycle) (paper §III); only OFAR's in-transit local
+// misroute escapes the ceiling (paper: OFAR 0.36 vs 1/6 = 0.166 at h=6).
+//
+// The analytic ceilings are printed alongside so the gap is visible.
 PresetRun make_fig5(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 5'000, 6'000);
@@ -259,6 +284,13 @@ PresetRun make_fig5(const CommandLine& cli) {
   return r;
 }
 
+// Fig. 8 reproduction: OFAR with a dedicated physical Hamiltonian ring
+// versus the virtually embedded ring (one extra escape VC on the links the
+// ring traverses). The paper's point: the curves coincide, because the
+// escape subnetwork resolves (rare) deadlocks rather than carrying traffic
+// — so the zero-wire embedded implementation suffices.
+//
+// Runs both UN and ADV+2 sweeps; --pattern restricts to one.
 PresetRun make_fig8(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 5'000, 6'000);
@@ -304,6 +336,18 @@ PresetRun make_fig8(const CommandLine& cli) {
 // Fig. 6 (transient) and Fig. 7 (burst)
 // ---------------------------------------------------------------------------
 
+// Fig. 6 reproduction: latency evolution under transient traffic. The
+// network is warmed with pattern A; at cycle 0 (relative) the pattern
+// switches to B, and each delivered packet's latency is accounted to the
+// cycle it was *sent* (paper §VI-B). Three transitions, as in the paper:
+//
+//   (1) UN -> ADV+2      @ 0.14 phits/(node*cycle)
+//   (2) ADV+2 -> UN      @ 0.14
+//   (3) ADV+2 -> ADV+h   @ 0.12 (lower: ADV+h at 0.14 saturates PB)
+//
+// Expected shape: all mechanisms converge instantly on (2); OFAR adapts
+// almost instantaneously on (1) and (3) while PB shows an adaptation
+// period (its congestion information is remote and delayed).
 PresetRun make_fig6(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 0, 0);
@@ -350,6 +394,19 @@ PresetRun make_fig6(const CommandLine& cli) {
   return r;
 }
 
+// Fig. 7 reproduction: burst consumption time, normalised to PB. Every node
+// injects a fixed budget of packets as fast as injection queues allow
+// (synchronised post-barrier burst, paper §VI-C); we measure the cycle at
+// which the network fully drains. Workloads: UN, ADV+2, ADV+h and three
+// UN/ADV+1/ADV+h mixes (80/10/10, 60/20/20, 20/40/40).
+//
+// Expected shape: OFAR always finishes first (paper: 43.1%-81.5% of PB's
+// time, average 0.695x => 43.8% speedup), and the full OFAR model always
+// beats OFAR-L.
+//
+// --packets scales the per-node budget (paper: 2000; default 400 keeps the
+// default h=4 run in minutes on one core — the normalised ratios are
+// insensitive to the budget once bursts dwarf the drain tail).
 PresetRun make_fig7(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 0, 0);
@@ -420,6 +477,17 @@ RunPoint steady_point(const SimConfig& cfg, u64 seed,
   return p;
 }
 
+// Fig. 2b reproduction + §III analysis: Valiant-routing throughput as a
+// function of the ADV+N group offset. The consecutive global arrangement
+// makes offsets that are multiples of h funnel all misrouted transit
+// traffic of a group pair through single local links, so throughput dips
+// sharply at N = h, 2h, 3h, ... while other offsets stay near Valiant's
+// global-link bound. OFAR (optional column) removes the dips.
+//
+// Extra flags: --offered L (default 0.35: above every VAL funnel ceiling,
+//              below OFAR's own saturation for all offsets),
+//              --with-ofar true to add the OFAR column,
+//              --analytic true to print the §III closed-form ceilings.
 PresetRun make_fig2(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 5'000, 6'000);
@@ -491,6 +559,17 @@ PresetRun make_fig2(const CommandLine& cli) {
   return r;
 }
 
+// Fig. 9 reproduction: OFAR with deliberately starved resources — an
+// embedded escape ring and only 2 VCs on local links / 1 VC on global
+// links, no congestion management (paper §VII). Under sustained load the
+// canonical network can congest completely; the only drain left is the
+// slow escape ring and throughput collapses. The paper uses this to argue
+// that a congestion-management layer (future work there, and here) is
+// needed for under-provisioned configurations.
+//
+// We print accepted load AND the deadlock-watchdog counters, which make
+// the collapse mechanism visible (thousands of heads stalled for >10k
+// cycles while the ring trickles).
 PresetRun make_fig9(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 5'000, 6'000);
@@ -559,6 +638,16 @@ PresetRun make_fig9(const CommandLine& cli) {
   return r;
 }
 
+// Ablation preset (DESIGN.md extension #1/#2): OFAR's misroute-threshold
+// policy. The paper picked the variable policy Th_nonmin = 0.9 * Q_min
+// empirically as "a reasonable trade-off between the performance in
+// adversarial and uniform traffic patterns" (§V); this preset reproduces
+// that tuning study on our substrate:
+//
+//   - sweep of the variable-policy factor (columns = traffic regimes),
+//   - sweep of the absolute occupancy-gap guard this implementation adds
+//     (see MisrouteThresholds::min_gap),
+//   - the paper's static alternative (Th_min = 100%, Th_nonmin = 40%).
 PresetRun make_ablation_thresholds(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 4'000, 6'000);
@@ -660,6 +749,19 @@ PresetRun make_ablation_thresholds(const CommandLine& cli) {
   return r;
 }
 
+// Ablation preset (DESIGN.md extension #5; paper §VII future work): a
+// minimal congestion-management layer — per-router injection throttling
+// with hysteresis on local buffer occupancy — and what it buys OFAR in the
+// two collapse regimes this reproduction exposes:
+//
+//   (a) sustained deep overload on the full configuration (UN far past
+//       saturation), where unrestricted injection pins every buffer and
+//       the network wedges onto the escape ring;
+//   (b) the paper's own Fig. 9 configuration (2 local / 1 global VCs,
+//       embedded ring), which collapses already at moderate loads.
+//
+// Default scale h=3 keeps collapsed points (the slowest to simulate)
+// affordable; pass --h 4 for the scale the figure benches use.
 PresetRun make_ablation_congestion(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 4'000, 6'000);
@@ -734,6 +836,17 @@ PresetRun make_ablation_congestion(const CommandLine& cli) {
   return r;
 }
 
+// Ablation preset (DESIGN.md extension #3; paper §VII reliability
+// discussion): the escape subnetwork's Hamiltonian rings.
+//
+//   (1) Topological study — the paper states "up to h edge-disjoint
+//       Hamiltonian rings could be embedded" on the dragonfly. We greedily
+//       collect pairwise edge-disjoint rings over all constructible strides
+//       and report the count per radix (a pure-topology computation).
+//   (2) Performance study — OFAR with the escape ring built at different
+//       strides, and with different livelock budgets (max_ring_exits).
+//       Because the ring is only a deadlock drain, neither choice should
+//       move steady-state numbers noticeably (the paper's Fig. 8 argument).
 PresetRun make_ablation_rings(const CommandLine& cli) {
   PresetRun r;
   r.opts = BenchOptions::parse(cli, 4'000, 6'000);
@@ -935,8 +1048,7 @@ int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
   return 0;
 }
 
-int run_preset_main(const std::string& name, int argc, char** argv,
-                    const std::string& default_cache_dir) {
+int run_preset_main(const std::string& name, int argc, char** argv) {
   CommandLine cli(argc, argv);
   // Driver-level keys (consumed by ofar_run's dispatch) must not trip the
   // presets' unknown-option check when forwarded verbatim.
@@ -953,7 +1065,7 @@ int run_preset_main(const std::string& name, int argc, char** argv,
   PresetRun run = preset->make(cli);
   if (!run.ok) return 1;
   if (run.opts.cache_dir.empty() && !run.opts.no_cache)
-    run.opts.cache_dir = default_cache_dir;
+    run.opts.cache_dir = kDefaultCacheDir;
   run.opts.stop_flag = install_sigint_stop();
   return run_units(run.units, run.opts, run.banner);
 }

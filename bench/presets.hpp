@@ -1,5 +1,5 @@
-// Figure-preset registry: every legacy bench binary is a thin shim over
-// this table, and `ofar_run --preset NAME` exposes the same entries. A
+// Figure-preset registry: `ofar_run --preset NAME` runs any entry of this
+// table. A
 // preset turns its CLI into one or more PresetUnits — an ExperimentSpec (or
 // a bespoke point list for the figures that are not a pure cross product)
 // plus a renderer — and run_units() executes all units' points through the
@@ -61,11 +61,12 @@ int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
 /// driver can offer graceful interruption + journal-based resume.
 const std::atomic<bool>* install_sigint_stop();
 
-/// Entry point shared by the legacy shim binaries and `ofar_run --preset`:
-/// parses the CLI, builds the preset, runs it. `default_cache_dir` applies
-/// when the user passed neither --cache-dir nor --no-cache (shims pass ""
-/// to keep their historical cache-less behaviour).
-int run_preset_main(const std::string& name, int argc, char** argv,
-                    const std::string& default_cache_dir = "");
+/// Result cache used when the user passed neither --cache-dir nor
+/// --no-cache.
+inline constexpr const char* kDefaultCacheDir = ".ofar-cache";
+
+/// Entry point of `ofar_run --preset`: parses the CLI, builds the preset,
+/// runs it.
+int run_preset_main(const std::string& name, int argc, char** argv);
 
 }  // namespace ofar::bench

@@ -97,8 +97,8 @@ struct SimConfig {
   /// congested (hysteresis: pause above `on`, resume below `off`). This is
   /// the simplest member of the family the paper defers to future work; it
   /// prevents the network-wide buffer pinning that lets sustained deep
-  /// overload collapse onto the escape ring (see bench/fig9_reduced_vcs
-  /// and bench/ablation_congestion).
+  /// overload collapse onto the escape ring (see the fig9 and
+  /// ablation_congestion presets, `ofar_run --preset NAME`).
   bool congestion_throttle = false;
   double throttle_on = 0.60;   ///< pause injection above this occupancy
   double throttle_off = 0.45;  ///< resume injection below this occupancy

@@ -737,12 +737,13 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
     // the escape ring cannot move one either, every route() call below
     // would return none — and for pure-when-blocked policies a failing
     // call draws no RNG and changes nothing the next call would not redo,
-    // so the scan itself can be skipped. Telemetry and tracing observe the
-    // failing calls (per-head stall attribution, provenance events), so
-    // either disables the skip. The ring matters only to policies that
-    // route onto it. Both tests are pure; the ring test goes first because
-    // it reads one port, while avail_mask() refreshes every port of the
-    // view — and the skip cannot fire while the ring can move.
+    // so the scan itself can be skipped. Telemetry observes the failing
+    // calls (per-head stall attribution), so it disables the skip. Tracing
+    // does not: pass 2 drops a failing call's provenance, so no trace
+    // event comes of it. The ring matters only to policies that route onto
+    // it. Both tests are pure; the ring test goes first because it reads
+    // one port, while avail_mask() refreshes every port of the view — and
+    // the skip cannot fire while the ring can move.
     if (skip_blocked_scans_ &&
         !(policy_routes_onto_ring_ && ring_can_take_packet(r)) &&
         sh.view.avail_mask() == 0)
@@ -791,6 +792,7 @@ void Network::do_allocation(ShardState& sh, u32 lane) {
                         want_prov ? &prov : nullptr, key};
       const RouteChoice choice = policy_->route(rctx);
       if (!choice.valid) {
+        // A failing call's provenance is dropped: it emits no trace event.
         if (telem_) telem_->note_credit_stall(r.id, h.port, h.vc);
         if (memo && *key != 0 && !failed(*key))
           sh.failed_keys.push_back(*key);
@@ -1119,11 +1121,12 @@ void Network::step() {
   // each on its own; the extra barrier changes no staging content or
   // commit order, so digests are unaffected.
   if (active_router_count() != 0) {
-    // Re-evaluated every cycle: tracing/telemetry can be toggled between
-    // runs, and the blocked-scan skip must never drop their per-head
-    // observations (see do_allocation).
-    skip_blocked_scans_ = policy_->blocked_route_is_pure() &&
-                          tracer_ == nullptr && telem_ == nullptr;
+    // Re-evaluated every cycle: telemetry can be enabled between runs, and
+    // the blocked-scan skip must never drop its per-head stall
+    // observations (see do_allocation). Tracing keeps the skip: failing
+    // calls emit no trace event.
+    skip_blocked_scans_ =
+        policy_->blocked_route_is_pure() && telem_ == nullptr;
     if (prof == nullptr) {
       run_shard_phase([this](u32 s) {
         advance_transfers(shards_[s]);

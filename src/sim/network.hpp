@@ -567,8 +567,8 @@ class Network {
   /// Per-cycle constant, latched serially in step() before the allocation
   /// phase runs: true when do_allocation may skip a router's whole request
   /// scan once its availability mask is empty and the ring cannot move
-  /// (requires a pure-when-blocked policy and no tracer/telemetry observing
-  /// the failing calls). Read-only during parallel phases.
+  /// (requires a pure-when-blocked policy and no telemetry observing the
+  /// failing calls). Read-only during parallel phases.
   bool skip_blocked_scans_ = false;
   /// policy_->routes_onto_ring(), latched at construction: only then can
   /// escape-ring credits keep the blocked-scan skip from firing.

@@ -38,7 +38,7 @@ def run_case(case):
                 if m:
                     for rule in m.group("rules").split(","):
                         expected.add((rel, lineno, rule.strip()))
-    program, _engine = load_program(root, files, "builtin")
+    program = load_program(root, files)
     findings = analyze(program)
     got = {(f.file, f.line, f.rule) for f in findings}
     errors = []

@@ -1,6 +1,7 @@
 // Fixture: invoking the serial-only trace callback from a parallel phase
 // must be flagged (events belong in ShardState staging); the serial
-// commit path may fire it directly.
+// commit path may fire it directly, at a site whose waiver marks it as
+// reviewed. Every direct emission is a trace-emit finding until waived.
 
 #include <functional>
 
@@ -15,9 +16,9 @@ struct Kernel {
 };
 
 void Kernel::phase() {
-  if (tracer_) tracer_(TraceEvent{1});  // expect: unstaged-trace
+  if (tracer_) tracer_(TraceEvent{1});  // expect: unstaged-trace, trace-emit
 }
 
 void Kernel::commit() {
-  if (tracer_) tracer_(TraceEvent{2});  // fine: serial emission
+  if (tracer_) tracer_(TraceEvent{2});  // lint: allow(trace-emit)
 }

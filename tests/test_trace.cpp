@@ -2,7 +2,8 @@
 //  - deterministic sampling: hash-based, pure in (seq, denominator);
 //  - trace-stream determinism: the full serialized event stream (provenance
 //    included) is bit-identical across sim_threads on the sharded kernel,
-//    physical and embedded rings;
+//    physical and embedded rings, and unchanged by the blocked-scan skip
+//    and memo that tracing leaves on;
 //  - routing-decision provenance: on a crafted congested router the
 //    recorded OFAR condition matches the misroute kind the policy chose;
 //  - flight recorder: bounded depth, oldest-first snapshots, JSON dumps;
@@ -78,11 +79,15 @@ SimConfig sharded_cfg(RingKind ring) {
 
 /// Serializes every sampled TraceEvent (provenance included) into one
 /// string: any cross-thread reordering or field divergence changes it.
+/// `telemetry` also enables in-memory telemetry, which turns off the
+/// blocked-scan skip and the blocked-head memo.
 std::string trace_stream(const SimConfig& cfg, unsigned sim_threads,
-                         u32 sample) {
+                         u32 sample, bool telemetry = false,
+                         double load = 0.7) {
   Network net(cfg);
   net.set_sim_threads(sim_threads);
   net.set_trace_sampling(sample);
+  if (telemetry) net.enable_telemetry(TelemetryConfig{});
   std::string stream;
   u64 events = 0;
   net.set_tracer([&](const TraceEvent& ev) {
@@ -93,7 +98,7 @@ std::string trace_stream(const SimConfig& cfg, unsigned sim_threads,
     ++events;
   });
   net.set_traffic(std::make_unique<BernoulliSource>(
-      TrafficPattern::adversarial(1), 0.7, cfg.seed));
+      TrafficPattern::adversarial(1), load, cfg.seed));
   net.run(1500);
   EXPECT_GT(events, 100u);
   return stream;
@@ -111,6 +116,17 @@ TEST(TraceThreadDeterminism, EmbeddedRingStreamBitIdentical) {
   const std::string one = trace_stream(cfg, 1, 4);
   EXPECT_EQ(one, trace_stream(cfg, 2, 4));
   EXPECT_EQ(one, trace_stream(cfg, 4, 4));
+}
+
+TEST(TraceThreadDeterminism, TracingKeepsBlockedScanSkip) {
+  // A failing route() call emits no trace event, so a traced run keeps the
+  // blocked-scan skip and the blocked-head memo on; telemetry observes the
+  // failing calls and turns both off. Past saturation (OFAR, ADV+1 at 0.6)
+  // the skip and the memo fire, and the traced stream, every packet
+  // sampled, must not notice them.
+  const SimConfig cfg = sharded_cfg(RingKind::kPhysical);
+  const std::string skipping = trace_stream(cfg, 1, 1, false, 0.6);
+  EXPECT_EQ(skipping, trace_stream(cfg, 1, 1, true, 0.6));
 }
 
 TEST(TraceThreadDeterminism, SampledStreamIsSubsetOfFullStream) {

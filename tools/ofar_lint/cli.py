@@ -9,8 +9,9 @@ import os
 import sys
 
 from . import __version__
+from .frontend_builtin import load_program
 from .model import Finding  # noqa: F401  (re-export for embedders)
-from .rules import RULES, analyze
+from .rules import RULES, Analyzer, analyze
 
 DEFAULT_DIRS = ("src",)
 SOURCE_EXTS = (".hpp", ".cpp", ".h", ".cc")
@@ -41,45 +42,22 @@ def collect_files(root, dirs=DEFAULT_DIRS):
     return out
 
 
-def load_program(root, files, engine):
-    """Builds the semantic model with the requested engine.
-    Returns (program, engine_used)."""
-    if engine in ("auto", "clang"):
-        try:
-            from . import frontend_clang
-            if frontend_clang.available():
-                return frontend_clang.load_program(root, files), "clang"
-            if engine == "clang":
-                raise RuntimeError(
-                    "libclang bindings or compile_commands.json not "
-                    "available")
-        except ImportError:
-            if engine == "clang":
-                raise RuntimeError("libclang Python bindings not installed")
-    from . import frontend_builtin
-    return frontend_builtin.load_program(root, files), "builtin"
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="ofar_lint",
-        description="Semantic phase-discipline analyzer for the OFAR "
-                    "sharded kernel (DESIGN.md §10/§12).")
+        description="Determinism and phase-discipline analyzer for the "
+                    "OFAR sharded kernel (DESIGN.md §8/§10/§12).")
     ap.add_argument("--root", default=None,
                     help="repository root (default: auto-detect upward "
                          "from cwd)")
-    ap.add_argument("--engine", choices=("auto", "builtin", "clang"),
-                    default="auto",
-                    help="frontend: libclang when importable, else the "
-                         "dependency-free builtin parser (default: auto)")
     ap.add_argument("--rule", action="append", choices=RULES,
                     help="restrict to the given rule(s); repeatable")
     ap.add_argument("--list-waivers", action="store_true",
                     help="print every `// lint: allow(...)` site with its "
                          "rule and exit 0")
     ap.add_argument("--stale-waivers", action="store_true",
-                    help="print waivers for analyzer rules that suppress "
-                         "no finding; exit 1 if any")
+                    help="print waivers that suppress no finding or name "
+                         "no rule; exit 1 if any")
     ap.add_argument("--version", action="version",
                     version=f"ofar_lint {__version__}")
     ap.add_argument("files", nargs="*",
@@ -98,11 +76,7 @@ def main(argv=None):
         print(f"ofar_lint: no sources under {root}/src", file=sys.stderr)
         return 2
 
-    try:
-        program, engine = load_program(root, files, args.engine)
-    except RuntimeError as e:
-        print(f"ofar_lint: {e}", file=sys.stderr)
-        return 2
+    program = load_program(root, files)
 
     if args.list_waivers:
         for (path, line), rule_set in sorted(program.waivers.items()):
@@ -118,23 +92,23 @@ def main(argv=None):
         findings = [f for f in findings if f.file in wanted]
 
     if args.stale_waivers:
-        # A waiver is stale when its rule is one this analyzer implements
-        # and removing it would still yield no finding at that site. The
-        # analyzer already suppressed matching findings, so recompute
-        # without suppression.
-        from .rules import Analyzer
-        bare = Analyzer(program)
+        # A waiver is stale when it names no rule, or when removing it
+        # would still yield no finding at that site. The analyzer already
+        # suppressed matching findings, so recompute without suppression.
         saved = program.waivers
         program.waivers = {}
         try:
-            raw = bare.run()
+            raw = Analyzer(program).run()
         finally:
             program.waivers = saved
         hit = {(f.file, f.line, f.rule) for f in raw}
         stale = []
         for (path, line), rule_set in sorted(saved.items()):
             for rule in sorted(rule_set):
-                if rule in RULES and (path, line, rule) not in hit:
+                if rule not in RULES:
+                    stale.append(f"{path}:{line}: allow({rule}) names no "
+                                 "rule")
+                elif (path, line, rule) not in hit:
                     stale.append(f"{path}:{line}: allow({rule}) "
                                  "suppresses nothing")
         for s in stale:
@@ -146,10 +120,9 @@ def main(argv=None):
     for f in findings:
         print(f.format())
     if findings:
-        print(f"\nofar_lint ({engine} engine): {len(findings)} finding(s)",
-              file=sys.stderr)
+        print(f"\nofar_lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"ofar_lint ({engine} engine): OK — {len(files)} files, "
+    print(f"ofar_lint: OK — {len(files)} files, "
           f"{sum(len(v) for v in program.functions.values())} functions "
           "analyzed")
     return 0

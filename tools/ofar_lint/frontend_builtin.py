@@ -5,14 +5,13 @@ recovers exactly the structure rules.py needs — it is NOT a C++ parser:
 
   * namespaces / class definitions (bases, member + method annotations);
   * typedef / using aliases (for unordered-container and clock resolution
-    through names, where the regex lint is provably blind);
+    through names, where a textual match is blind);
   * function definitions with tokenized bodies, parameter names/types and
     best-effort local variable types.
 
 Anything it cannot classify it skips — unknown constructs degrade into
-missed edges (possible false negatives), never into crashes. The libclang
-frontend (frontend_clang.py) trades this robustness for exactness when the
-bindings are available.
+missed edges (possible false negatives), never into crashes. The whole-file
+token rules do not depend on this parse: they read Program.tokens.
 """
 
 import os
@@ -511,6 +510,8 @@ def load_program(root, files):
         except OSError:
             continue
         lexer.collect_waivers(text, rel, program.waivers)
-        toks = lexer.strip_and_tokenize(text)
+        directives = []
+        toks = lexer.strip_and_tokenize(text, directives)
+        program.tokens[rel] = [toks] + directives
         _FileParser(program, rel).parse(toks)
     return program

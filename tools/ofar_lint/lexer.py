@@ -3,7 +3,9 @@
 Produces identifier/number/punctuation tokens with source lines attached,
 with comments and string/char literals stripped (string literals become a
 single `""` token so grammar shapes survive). Preprocessor directives are
-dropped except that `#if 0` blocks are skipped entirely. Waiver comments
+kept out of the main stream; a caller that passes `directives` gets each
+non-#include directive's tokens back as a separate run, so the token rules
+see macro bodies while the declaration parser never does. Waiver comments
 (`// lint: allow(rule)`) are collected per line before stripping.
 """
 
@@ -31,8 +33,10 @@ def collect_waivers(text, path, waivers):
             waivers.setdefault((path, lineno), set()).add(m.group("rule"))
 
 
-def strip_and_tokenize(text):
-    """Returns a list of (token_text, line) pairs."""
+def strip_and_tokenize(text, directives=None):
+    """Returns a list of (token_text, line) pairs. When `directives` is a
+    list, each directive line other than #include is appended to it as its
+    own list of (token_text, line) pairs."""
     tokens = []
     i = 0
     n = len(text)
@@ -91,6 +95,7 @@ def strip_and_tokenize(text):
             continue
         if c == "#":
             # Drop the directive line (honouring backslash continuations).
+            start_line = line
             j = i
             while True:
                 k = text.find("\n", j)
@@ -103,6 +108,11 @@ def strip_and_tokenize(text):
                     continue
                 j = k
                 break
+            body = text[i + 1:j]
+            if directives is not None and \
+                    not body.lstrip().startswith("include"):
+                directives.append([(t, start_line + ln - 1) for t, ln in
+                                   strip_and_tokenize(body)])
             i = j
             continue
         m = _TOKEN_RE.match(text, i)

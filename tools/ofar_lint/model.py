@@ -1,7 +1,9 @@
-"""Semantic model shared by the ofar_lint frontends.
+"""Semantic model built by the ofar_lint frontend.
 
-A frontend reduces the C++ sources to:
+The frontend reduces the C++ sources to:
 
+  * tokens: each file's token stream (comments and string literals
+    stripped), for the whole-file token rules;
   * classes: name -> ClassInfo (bases, member annotations, class-level
     annotation);
   * functions: qualified name -> [FunctionDef] (annotations + the token
@@ -15,9 +17,7 @@ applies the discipline checks to every reachable body region.
 
 from dataclasses import dataclass, field
 
-# Annotation spellings (the macro names; the builtin frontend reads the
-# macros themselves, the clang frontend reads the expanded
-# [[clang::annotate]] strings).
+# Annotation spellings (the frontend reads the macro names themselves).
 PARALLEL_PHASE = "parallel_phase"
 SERIAL_ONLY = "serial_only"
 SHARD_LOCAL = "shard_local"
@@ -28,13 +28,6 @@ MACRO_TO_ANNOTATION = {
     "OFAR_SERIAL_ONLY": SERIAL_ONLY,
     "OFAR_SHARD_LOCAL": SHARD_LOCAL,
     "OFAR_LANE_RNG": LANE_RNG,
-}
-
-ANNOTATE_TO_ANNOTATION = {
-    "ofar::parallel_phase": PARALLEL_PHASE,
-    "ofar::serial_only": SERIAL_ONLY,
-    "ofar::shard_local": SHARD_LOCAL,
-    "ofar::lane_rng": LANE_RNG,
 }
 
 
@@ -77,6 +70,9 @@ class FunctionDef:
 
 @dataclass
 class Program:
+    # path -> token runs: the file's (text, line) stream, then one run per
+    # preprocessor directive line
+    tokens: dict = field(default_factory=dict)
     classes: dict = field(default_factory=dict)    # name -> ClassInfo
     functions: dict = field(default_factory=dict)  # qualname -> [FunctionDef]
     aliases: dict = field(default_factory=dict)    # alias name -> target text

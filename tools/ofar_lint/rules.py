@@ -16,13 +16,27 @@ enforces:
   off-lane-rng       RNG draw whose stream is not a bound lane (not a
                      parameter, not OFAR_LANE_RNG state/accessor)
 
-Checked everywhere (not just parallel-reachable), resolving typedef /
-using chains the regex lint cannot see:
+Checked in every function body, resolving typedef / using chains:
 
   unordered-iter     range-for over a type that expands to a std::
-                     unordered_* container
-  wall-clock         wall-clock read outside src/stats/ (aliased clocks
-                     included)
+                     unordered_* container (or a range whose name says
+                     unordered)
+
+Checked over every token of every file (class bodies, namespace scope and
+macro definitions included), with comments and string literals stripped:
+
+  libc-rng             rand / srand / random calls, unqualified, ::- or
+                       std::-qualified (member calls such as rng.random()
+                       are not libc)
+  random-device        std::random_device
+  wall-clock           std::chrono clocks, time() / clock(),
+                       gettimeofday, clock_gettime, and aliases that
+                       resolve to a clock (exempt: src/stats/)
+  unordered-container  any std::unordered_* container type
+  raw-thread           std::thread / std::jthread / std::async
+                       (exempt: src/common/parallel)
+  trace-emit           direct tracer_(...) emission; reviewed serial-phase
+                       sites carry a waiver
 
 A finding on a line carrying `// lint: allow(<rule>)` is suppressed.
 """
@@ -52,13 +66,40 @@ _CLOCK_RE = re.compile(
     r"steady_clock|system_clock|high_resolution_clock|gettimeofday|"
     r"clock_gettime")
 
-# Path prefixes exempt from wall-clock (telemetry may timestamp records;
-# mirrors lint_determinism.ALLOWED_PREFIXES).
-WALL_CLOCK_EXEMPT = ("src/stats/",)
+# Reviewed exemptions by rule: telemetry may timestamp its records with real
+# time, which never feeds back into the simulation; common/parallel is the
+# one place allowed to own std::thread (the layer raw-thread funnels
+# everyone else into).
+EXEMPT = {
+    "wall-clock": ("src/stats/",),
+    "raw-thread": ("src/common/parallel",),
+}
+
+TOKEN_RULE_MESSAGES = {
+    "libc-rng": "C library RNG; use common/rng.hpp seeded from SimConfig",
+    "random-device": "hardware entropy source; use common/rng.hpp seeded "
+                     "from SimConfig",
+    "wall-clock": "wall-clock read in simulation code; cycle decisions "
+                  "must use Network::now() (telemetry timestamps belong "
+                  "in src/stats/)",
+    "unordered-container": "iteration order is not deterministic across "
+                           "runs; use a vector indexed by dense ids (or "
+                           "sort before iterating)",
+    "raw-thread": "raw threading primitive; all simulation parallelism "
+                  "must go through common/parallel (ShardPool / "
+                  "parallel_for), whose phase barriers are what make "
+                  "shard-ordered commits possible",
+    "trace-emit": "direct TraceEvent emission: trace callbacks outside the "
+                  "serial phases must be staged in ShardState::traces and "
+                  "flushed by commit_shard_staging in shard index order, "
+                  "or the trace stream stops being bit-identical across "
+                  "sim_threads (DESIGN.md §11); reviewed serial-phase "
+                  "sites carry `// lint: allow(trace-emit)`",
+}
 
 RULES = ("serial-call", "unstaged-trace", "serial-write",
-         "cross-shard-write", "off-lane-rng", "unordered-iter",
-         "wall-clock")
+         "cross-shard-write", "off-lane-rng", "unordered-iter") + \
+    tuple(TOKEN_RULE_MESSAGES)
 
 _WRAPPERS = ("unique_ptr", "shared_ptr", "vector", "deque", "array",
              "optional", "span")
@@ -99,7 +140,10 @@ class Analyzer:
             self._walk(fn, chain=fn.qualname, visited=visited)
         for defs in self.p.functions.values():
             for fn in defs:
-                self._check_everywhere(fn)
+                self._check_unordered_iter(fn)
+        for path, runs in self.p.tokens.items():
+            for toks in runs:
+                self._check_tokens(path, toks)
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
         return self.findings
 
@@ -445,32 +489,55 @@ class Analyzer:
             stack.extend(ci.bases)
         return ""
 
-    # -- whole-program checks (aliases make these semantic) ---------------
+    # -- whole-file token rules -------------------------------------------
 
-    def _check_everywhere(self, fn):
+    def _check_tokens(self, path, toks):
+        texts = [t for t, _ in toks]
+        for i, (_t, line) in enumerate(toks):
+            rule = self._token_rule(texts, i)
+            if rule and not path.startswith(EXEMPT.get(rule, ())):
+                self._emit(rule, path, line, TOKEN_RULE_MESSAGES[rule])
+
+    def _token_rule(self, texts, i):
+        """Name of the token rule the token at i breaks, or None."""
+        t = texts[i]
+        nxt = texts[i + 1] if i + 1 < len(texts) else ""
+        qual = _qualifier(texts, i)
+        libc = qual in ("", "std")
+        if t in ("rand", "srand", "random") and nxt == "(" and libc:
+            return "libc-rng"
+        args = texts[i + 2:i + 4]
+        if t in ("time", "clock") and nxt == "(" and libc and (
+                args[:1] == [")"] or args in (["NULL", ")"],
+                                              ["nullptr", ")"])):
+            return "wall-clock"
+        if _CLOCK_RE.search(t) or (
+                t in self.p.aliases and nxt in ("::", "(") and
+                _CLOCK_RE.search(self.p.resolve_alias(t))):
+            return "wall-clock"
+        if qual == "member":
+            return "trace-emit" if t == "tracer_" and nxt == "(" and \
+                texts[i - 2] == "this" else None
+        if t == "random_device":
+            return "random-device"
+        if _UNORDERED_RE.fullmatch(t):
+            return "unordered-container"
+        if qual == "std" and t in ("thread", "jthread", "async") and not (
+                nxt == "::" and texts[i + 2:i + 3] ==
+                ["hardware_concurrency"]):
+            return "raw-thread"
+        if t == "tracer_" and nxt == "(":
+            return "trace-emit"
+        return None
+
+    # -- unordered-iter (aliases make this semantic) ----------------------
+
+    def _check_unordered_iter(self, fn):
         body = fn.body
         texts = [t.text for t in body]
         n = len(body)
         for i, tok in enumerate(body):
-            t = tok.text
-            # wall-clock: aliased or direct clock reads outside src/stats.
-            if not fn.file.startswith(WALL_CLOCK_EXEMPT):
-                resolved = None
-                if _CLOCK_RE.search(t):
-                    resolved = t
-                elif t in self.p.aliases and \
-                        _CLOCK_RE.search(self.p.resolve_alias(t)):
-                    resolved = self.p.resolve_alias(t)
-                if resolved is not None and (
-                        i + 1 < n and texts[i + 1] in ("::", "(")):
-                    self._emit(
-                        "wall-clock", fn.file, tok.line,
-                        f"wall-clock read (`{t}` resolves to a real-time "
-                        "clock); simulation decisions must use "
-                        "Network::now() — telemetry timestamps belong in "
-                        "src/stats/")
-            # unordered-iter: range-for over an (aliased) unordered type.
-            if t == "for" and i + 1 < n and texts[i + 1] == "(":
+            if texts[i] == "for" and i + 1 < n and texts[i + 1] == "(":
                 close = self._match_from(texts, i + 1, "(", ")")
                 group = texts[i + 2:close]
                 if ":" in group:
@@ -502,9 +569,8 @@ class Analyzer:
         """True when the range expression's type resolves to unordered."""
         if not expr:
             return False
-        # Direct spelling or alias used as a temporary.
-        joined = " ".join(expr)
-        if _UNORDERED_RE.search(joined):
+        # Direct spelling, or a range whose name says it is unordered.
+        if any("unordered" in t for t in expr):
             return True
         base = expr[0]
         if not (base and (base[0].isalpha() or base[0] == "_")):
@@ -518,6 +584,17 @@ class Analyzer:
             return False
         resolved = self.p.resolve_alias(t)
         return bool(_UNORDERED_RE.search(resolved))
+
+
+def _qualifier(texts, i):
+    """How the name at i is reached: "member" after `.`/`->`, the scope
+    name for `X::name`, and "" when unqualified or globally qualified
+    (`::name`)."""
+    prev = texts[i - 1] if i > 0 else ""
+    if prev in (".", "->", ".*", "->*"):
+        return "member"
+    scope = texts[i - 2] if prev == "::" and i >= 2 else ""
+    return scope if scope[:1].isalnum() or scope[:1] == "_" else ""
 
 
 def analyze(program):
