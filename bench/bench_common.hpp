@@ -21,8 +21,6 @@
 //   --trace-out F     packet-journey Chrome trace JSON (chrome://tracing /
 //                     ui.perfetto.dev); per-point file names when the run
 //                     executes more than one point
-//   --trace-links F   per-link utilisation / credit-stall series (.csv or
-//                     JSONL by extension)
 //   --trace-sample N  trace 1 in N packets (default 64; 1 traces all)
 //   --cache-dir D   content-addressed result cache + resume journal
 //                   (default .ofar-cache)
@@ -72,7 +70,6 @@ struct BenchOptions {
   // Packet tracing (src/trace, DESIGN.md §11), applied to every executed
   // point. Instrumentation only: never part of cached point keys.
   std::string trace_out;    ///< "" = journey tracing off
-  std::string trace_links;  ///< "" = link series off
   u32 trace_sample = 64;    ///< 1-in-N deterministic packet sampling
 
   // Orchestrator knobs: every bench executes through run_points() now.
@@ -106,7 +103,6 @@ struct BenchOptions {
     if (cli.get_flag("audit") && o.audit_interval == 0)
       o.audit_interval = 4'096;
     o.trace_out = cli.get_string("trace-out", "");
-    o.trace_links = cli.get_string("trace-links", "");
     o.trace_sample = static_cast<u32>(cli.get_uint("trace-sample", 64));
     o.cache_dir = cli.get_string("cache-dir", "");
     o.no_cache = cli.get_flag("no-cache");

@@ -1007,7 +1007,6 @@ int run_units(const std::vector<PresetUnit>& units, const BenchOptions& opts,
   oo.metrics_interval = opts.metrics_interval;
   oo.metrics_full = opts.metrics_full;
   oo.trace_out = opts.trace_out;
-  oo.trace_links = opts.trace_links;
   oo.trace_sample = opts.trace_sample;
   oo.checkpoint_dir = opts.checkpoint_dir;
   oo.checkpoint_interval = opts.checkpoint_interval;

@@ -85,24 +85,29 @@ bool CheckpointIO::read_fifo(CkptReader& r, VcFifo& f) {
   return r.ok();
 }
 
+// The u64 after the bucket width is a reserved slot, always 0, kept so the
+// byte format of existing checkpoints stays valid.
 void CheckpointIO::write_series(CkptWriter& w, const TimeSeries& ts) {
   w.put_u64(ts.start_);
   w.put_u32(ts.bucket_width_);
-  w.put_u64(ts.base_);
+  w.put_u64(0);
   w.put_u64(ts.buckets_.size());
   w.put_pod_span(ts.buckets_.data(), ts.buckets_.size());
 }
 
+// Only the bucket contents are restored: the saved shape must equal the
+// shape of the series the driver installed, so a corrupt width or count is
+// a load error instead of a divide by zero or a huge allocation.
 bool CheckpointIO::read_series(CkptReader& r, TimeSeries& ts) {
-  ts.start_ = r.get_u64();
-  ts.bucket_width_ = r.get_u32();
-  ts.base_ = r.get_u64();
+  const Cycle start = r.get_u64();
+  const u32 width = r.get_u32();
+  const u64 reserved = r.get_u64();
   const u64 n = r.get_u64();
-  if (!r.ok() || n > (u64{1} << 32)) {
+  if (!r.ok() || start != ts.start_ || width != ts.bucket_width_ ||
+      reserved != 0 || n != ts.buckets_.size()) {
     r.fail();
     return false;
   }
-  ts.buckets_.assign(static_cast<std::size_t>(n), TimeSeries::Bucket{});
   r.get_pod_span(ts.buckets_.data(), ts.buckets_.size());
   return r.ok();
 }

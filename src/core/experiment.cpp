@@ -50,17 +50,12 @@ void ExperimentCommon::arm(Network& net, const std::string& label_suffix)
   net.set_sim_threads(sim_threads);
   if (audit_interval > 0) net.enable_audit(audit_interval);
   const std::string label = compose_label(metrics_label, label_suffix);
-  if (!trace_out.empty() || !trace_links.empty()) {
+  if (!trace_out.empty()) {
     trace::TracerConfig tc;
     tc.out_path = trace_per_point
                       ? per_point_path(trace_out, label, net.config().seed)
                       : trace_out;
-    tc.links_path = trace_per_point
-                        ? per_point_path(trace_links, label,
-                                         net.config().seed)
-                        : trace_links;
     tc.sample = trace_sample;
-    tc.link_bucket = trace_link_bucket;
     tc.flight_depth = trace_flight_depth;
     tc.label = label;
     net.enable_tracing(tc);

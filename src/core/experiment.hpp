@@ -45,15 +45,12 @@ struct ExperimentCommon {
   bool metrics_full = false;
 
   // ---- optional packet tracing (trace/tracer.hpp, DESIGN.md §11); active
-  // when trace_out or trace_links is non-empty. Like telemetry it is
-  // read-only, deterministic instrumentation: per-seed results are
-  // bit-identical with tracing on or off, so none of these knobs belong in
-  // a cached point key.
-  std::string trace_out;    ///< Chrome trace-event JSON (chrome://tracing)
-  std::string trace_links;  ///< per-link util/stall series, .csv or JSONL
-  u32 trace_sample = 64;    ///< trace 1-in-N packets by hash(seq); <=1: all
-  Cycle trace_link_bucket = 256;  ///< link-series bucket width, cycles
-  u32 trace_flight_depth = 64;    ///< flight-recorder events/router; 0: off
+  // when trace_out is non-empty. Like telemetry it is read-only,
+  // deterministic instrumentation: per-seed results are bit-identical with
+  // tracing on or off, so none of these knobs belong in a cached point key.
+  std::string trace_out;        ///< Chrome trace-event JSON (chrome://tracing)
+  u32 trace_sample = 64;        ///< trace 1-in-N packets by hash(seq); <=1: all
+  u32 trace_flight_depth = 64;  ///< flight-recorder events/router; 0: off
 
   /// Rewrite trace paths per run ("t.json" -> "t.<label>-s<seed>.json") so
   /// the parallel points of a sweep sharing one params object do not

@@ -367,9 +367,7 @@ RunReport run_points(const std::vector<RunPoint>& points,
         c.metrics_label = label;
         c.sim_threads = inner;
         c.trace_out = opts.trace_out;
-        c.trace_links = opts.trace_links;
         c.trace_sample = opts.trace_sample;
-        c.trace_link_bucket = opts.trace_link_bucket;
         c.trace_flight_depth = opts.trace_flight_depth;
         c.trace_per_point = todo.size() > 1;
       };

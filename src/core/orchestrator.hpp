@@ -57,15 +57,12 @@ struct OrchestratorOptions {
 
   // Packet tracing for executed points (ExperimentCommon trace_* knobs;
   // result- and cache-key-invariant like the rest of the block above).
-  // When the run executes more than one point, output paths get a
+  // When the run executes more than one point, the output path gets a
   // per-point "<case>|<mechanism>|..." + seed tag so parallel points never
-  // overwrite each other; a single executed point writes the paths
-  // verbatim.
-  std::string trace_out;          ///< Chrome trace-event JSON path
-  std::string trace_links;        ///< per-link util/stall series path
-  u32 trace_sample = 64;          ///< trace 1-in-N packets; <=1 traces all
-  Cycle trace_link_bucket = 256;  ///< link-series bucket width, cycles
-  u32 trace_flight_depth = 64;    ///< flight-recorder events/router
+  // overwrite each other; a single executed point writes the path verbatim.
+  std::string trace_out;        ///< Chrome trace-event JSON path
+  u32 trace_sample = 64;        ///< trace 1-in-N packets; <=1 traces all
+  u32 trace_flight_depth = 64;  ///< flight-recorder events/router
 
   // Mid-point checkpoint/restart (core/checkpoint.hpp) for steady points:
   // each executing point snapshots its full simulation state to

@@ -6,6 +6,8 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -320,6 +322,72 @@ TEST(Telemetry, JsonlRecordsAreValidJson) {
   // The escaped label survives round-trip on every record.
   for (const auto& line : lines)
     EXPECT_NE(line.find("jsonl \\\"test\\\""), std::string::npos) << line;
+}
+
+TEST(Telemetry, LinkRecordsSumToChannelCounters) {
+  // The per-channel `links` records are the one per-link utilisation
+  // output, so their phits must add up to the kernel's exact counters over
+  // the telemetry lifetime, and idle channels must be left out.
+  TempFile tmp("test_metrics_links.jsonl");
+  std::vector<u64> at_enable, at_end;
+  std::vector<bool> wired;
+  {
+    auto sink = MetricsSink::open(tmp.path);
+    ASSERT_NE(sink, nullptr);
+    Network net(small_config(11));
+    net.set_traffic(std::make_unique<BernoulliSource>(
+        TrafficPattern::adversarial(1), 0.3, 11));
+    net.run(300);  // counters are non-zero when telemetry starts
+    TelemetryConfig tc;
+    tc.sink = sink.get();
+    tc.interval = 400;
+    tc.full_dump = true;
+    net.enable_telemetry(tc);
+    for (ChannelId c = 0; c < net.num_channels(); ++c) {
+      wired.push_back(net.channel_wired(c));
+      at_enable.push_back(wired.back() ? net.channel_phits(c) : 0);
+    }
+    net.run(2'000);  // ends on the fifth sample
+    EXPECT_EQ(net.telemetry()->samples_taken(), 5u);
+    for (ChannelId c = 0; c < net.num_channels(); ++c)
+      at_end.push_back(wired[c] ? net.channel_phits(c) : 0);
+  }
+
+  const auto field = [](const std::string& line, std::size_t from,
+                        const char* key) {
+    const std::size_t at = line.find(key, from);
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::strtoull(line.c_str() + at + std::strlen(key), nullptr, 10);
+  };
+  std::vector<u64> summed(at_end.size(), 0);
+  std::size_t records = 0;
+  for (const auto& line : read_lines(tmp.path)) {
+    if (record_type(line) != "links") continue;
+    ++records;
+    const std::string entry = "{\"channel\":";
+    for (std::size_t at = line.find(entry); at != std::string::npos;
+         at = line.find(entry, at + 1)) {
+      const u64 c = field(line, at, "\"channel\":");
+      const u64 phits = field(line, at, "\"phits\":");
+      ASSERT_LT(c, summed.size());
+      EXPECT_GT(phits, 0u) << "idle channel " << c << " listed";
+      summed[c] += phits;
+    }
+  }
+  EXPECT_EQ(records, 5u);
+  std::size_t busy = 0, idle = 0;
+  for (std::size_t c = 0; c < summed.size(); ++c) {
+    if (!wired[c]) {
+      EXPECT_EQ(summed[c], 0u) << "unwired channel " << c << " listed";
+      continue;
+    }
+    EXPECT_EQ(summed[c], at_end[c] - at_enable[c]) << "channel " << c;
+    ++(summed[c] == 0 ? idle : busy);
+  }
+  // Both halves of the check bite: some channels carried traffic, and some
+  // (the unused escape ring) never did and so never appeared.
+  EXPECT_GT(busy, 0u);
+  EXPECT_GT(idle, 0u);
 }
 
 TEST(Telemetry, RegistryTracksNetworkState) {

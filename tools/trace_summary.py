@@ -10,11 +10,11 @@ aggregate story:
   * packets traced / delivered, hop and queue-wait distributions;
   * a histogram of routing conditions (minimal, misroute-local/global,
     ring enter/ride/exit, waits) over every hop span;
-  * the slowest packets end-to-end and the hops that queued longest.
-
-With --links F it additionally summarises a per-link series file written
-by --trace-links (.csv or JSONL) and prints the busiest / most stalled
-links.
+  * the slowest packets end-to-end and the hops that queued longest;
+  * the most stalled links: sampled grants grouped by (router, out_port),
+    ranked by mean queue_wait. Link utilisation is not estimated here:
+    telemetry's exact per-channel counters (--metrics-out with
+    --metrics-full) are the one utilisation source.
 
 --check switches to validation mode for CI: the file must parse as JSON,
 carry a well-formed traceEvents list, and every traced packet must have a
@@ -22,7 +22,7 @@ named process, hop spans with provenance args, and cycle-ordered events.
 Exits 0 when valid, 1 with a diagnostic otherwise.
 
 Usage:
-  tools/trace_summary.py TRACE.json [--links LINKS.csv] [--top N] [--check]
+  tools/trace_summary.py TRACE.json [--top N] [--check]
 """
 
 import argparse
@@ -167,51 +167,50 @@ def summarise(doc, events, top):
         print("longest per-hop queue waits:")
         for wait, tid, pid in worst_queues[:top]:
             print(f"  router {tid:<5} pkt pid={pid:<8} {wait} cycles")
-    return 0
-
-
-def summarise_links(path, top):
-    """Per-link series from --trace-links: label,cycle,mean,count rows."""
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("label,"):
-                continue
-            if line.startswith("{"):
-                rec = json.loads(line)
-                rows.append((rec["label"], float(rec["mean"]),
-                             int(rec["count"])))
-            else:
-                parts = line.split(",")
-                if len(parts) != 4:
-                    continue
-                rows.append((parts[0], float(parts[2]), int(parts[3])))
-    totals = defaultdict(lambda: [0.0, 0])  # label -> [sum, count]
-    for label, mean, count in rows:
-        totals[label][0] += mean * count
-        totals[label][1] += count
-    util = {k: v for k, v in totals.items() if k.endswith(".util")}
-    stall = {k: v for k, v in totals.items() if k.endswith(".stall")}
-    if util:
-        print("busiest links (sampled phits):")
-        for k, (s, _) in sorted(util.items(), key=lambda kv: -kv[1][0])[:top]:
-            print(f"  {k:<32} {s:>10.0f}")
-    if stall:
-        print("most stalled links (mean queue-wait, cycles):")
+    links = stalled_links(traced)
+    if links:
+        print("most stalled links (mean queue-wait over sampled grants):")
+        # Highest mean wait first; more grants, then lower ids, break ties.
         ranked = sorted(
-            ((s / c if c else 0.0, k) for k, (s, c) in stall.items()),
-            reverse=True,
+            links.items(),
+            key=lambda kv: (-kv[1][0] / kv[1][1], -kv[1][1], kv[0]),
         )
-        for mean, k in ranked[:top]:
-            print(f"  {k:<32} {mean:>10.2f}")
+        for (router, port), (wait, grants) in ranked[:top]:
+            print(
+                f"  router {router:<5} port {port:<3} "
+                f"{wait / grants:>8.2f} cycles  ({grants} grants)"
+            )
     return 0
+
+
+def stalled_links(traced):
+    """(router, out_port) -> [summed queue_wait, grants] over hop spans.
+
+    A delivered packet's last hop span, at the router of its deliver
+    instant, is the grant onto the ejection port, not onto a network link,
+    so it is skipped. A packet granted its ejection port but not yet
+    delivered when the trace was written keeps that one span.
+    """
+    links = defaultdict(lambda: [0, 0])
+    for p in traced.values():
+        hops = sorted(
+            (s for s in p["spans"] if s["name"] != "queued"),
+            key=lambda s: s["ts"],
+        )
+        deliver = [i for i in p["instants"] if i["name"] == "deliver"]
+        if deliver and hops and hops[-1]["tid"] == deliver[0]["tid"]:
+            hops.pop()
+        for s in hops:
+            args = s["args"]
+            link = links[(args["router"], args["out_port"])]
+            link[0] += args["queue_wait"]
+            link[1] += 1
+    return links
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trace", help="Chrome trace JSON from --trace-out")
-    ap.add_argument("--links", help="per-link series file from --trace-links")
     ap.add_argument("--top", type=int, default=10, metavar="N",
                     help="rows per ranking (default 10)")
     ap.add_argument("--check", action="store_true",
@@ -225,10 +224,7 @@ def main():
 
     if args.check:
         return check(doc, events, args.trace)
-    rc = summarise(doc, events, args.top)
-    if rc == 0 and args.links:
-        rc = summarise_links(args.links, args.top)
-    return rc
+    return summarise(doc, events, args.top)
 
 
 if __name__ == "__main__":
